@@ -102,10 +102,9 @@ agedDriveConfig()
 }
 
 double
-stat(const core::DeepStore &ds, const std::string &name)
+stat(ssd::Ssd &dev, StatId id)
 {
-    const Stat *s =
-        const_cast<core::DeepStore &>(ds).ssd().stats().find(name);
+    const Stat *s = dev.stats().find(id);
     return s ? s->value() : 0.0;
 }
 
@@ -135,6 +134,7 @@ main()
 
     core::DeepStoreConfig cfg = agedDriveConfig();
     core::DeepStore ds(cfg);
+    ssd::Ssd &dev = ds.array().node(0).device();
     workloads::FeatureGenerator gen(kDim, 32, 7);
     std::uint64_t db = ds.writeDB(
         std::make_shared<core::GeneratedFeatureSource>(gen,
@@ -160,13 +160,13 @@ main()
     // superblock.
     auto churn_cycle = [&]() {
         bool done = false;
-        ds.ssd().hostWrite(kScratchLpn, kScratchPages,
-                           [&](Tick) { done = true; });
+        dev.hostWrite(kScratchLpn, kScratchPages,
+                      [&](Tick) { done = true; });
         while (!done && ds.step()) {
         }
         done = false;
-        ds.ssd().hostTrim(kScratchLpn, kScratchPages,
-                          [&](Tick) { done = true; });
+        dev.hostTrim(kScratchLpn, kScratchPages,
+                     [&](Tick) { done = true; });
         while (!done && ds.step()) {
         }
     };
@@ -188,9 +188,8 @@ main()
             // with a floor on the free pool so the drive never goes
             // device-full.
             int cyc = 0;
-            while (ds.ssd().ftl().retiredSuperblocks() <
-                       kTargetRetired &&
-                   ds.ssd().ftl().freeSuperblocks() >
+            while (dev.ftl().retiredSuperblocks() < kTargetRetired &&
+                   dev.ftl().freeSuperblocks() >
                        kMinFreeSuperblocks &&
                    cyc < kEndOfLifeCycleCap) {
                 churn_cycle();
@@ -215,13 +214,13 @@ main()
         }
         ds.drain(); // let background relocations finish
 
-        double writes = stat(ds, "ftl.pageWrites");
+        double writes = stat(dev, StatId::FtlPageWrites);
         double amp =
-            (writes + stat(ds, "ftl.migratedPages") +
-             stat(ds, "ftl.relocatedPages")) /
+            (writes + stat(dev, StatId::FtlMigratedPages) +
+             stat(dev, StatId::FtlRelocatedPages)) /
             std::max(writes, 1.0);
-        double relocations = stat(ds, "ftl.relocations");
-        double retired = stat(ds, "ftl.retiredSuperblocks");
+        double relocations = stat(dev, StatId::FtlRelocations);
+        double retired = stat(dev, StatId::FtlRetiredSuperblocks);
         double p50 = percentile(lat, 0.50);
         double p99 = percentile(lat, 0.99);
         double cov =
@@ -251,9 +250,9 @@ main()
     // The life story must actually unfold: an aged drive that never
     // relocates or retires anything means the lifecycle machinery is
     // disconnected from the datapath.
-    if (stat(ds, "ftl.relocations") < 1.0)
+    if (stat(dev, StatId::FtlRelocations) < 1.0)
         fatal("aged drive triggered no relocations");
-    if (stat(ds, "ftl.retiredSuperblocks") < 1.0)
+    if (stat(dev, StatId::FtlRetiredSuperblocks) < 1.0)
         fatal("aged drive retired no blocks");
 
     report.write();

@@ -1,24 +1,16 @@
 #include "common/stats.h"
 
-// Compile-checks the registered-stats schema (DESIGN.md §9, D11)
-// even for builds that never instantiate registeredStatNames().
-#include "common/stats_schema.h"
-
 namespace deepstore {
-
-void
-StatGroup::resetAll()
-{
-    for (auto &[name, stat] : stats_)
-        stat.reset();
-}
 
 void
 StatGroup::dump(std::ostream &os) const
 {
-    for (const auto &[stat_name, stat] : stats_) {
-        os << (name_.empty() ? stat_name : name_ + "." + stat_name)
-           << " = " << stat.value() << "\n";
+    // StatId order is byte-wise name order (checked in the schema).
+    const std::string prefix = name_.empty() ? "" : name_ + ".";
+    for (std::size_t i = 0; i < kStatCount; ++i) {
+        if (stats_[i].recorded())
+            os << prefix << kStatNames[i] << " = " << stats_[i].value()
+               << "\n";
     }
 }
 

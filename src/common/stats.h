@@ -1,74 +1,64 @@
 /**
  * @file
- * A minimal statistics package in the spirit of gem5's Stats: named
- * scalar counters and distributions owned by a StatGroup, dumpable as
- * text. Models register counters here; benches and tests read them.
+ * A minimal statistics package in the spirit of gem5's Stats: scalar
+ * counters owned by a StatGroup, dumpable as text. The counters are
+ * the DS_STAT entries of common/stats_schema.h; models bump them by
+ * typed id and benches and tests read them.
  */
 
 #ifndef DEEPSTORE_COMMON_STATS_H
 #define DEEPSTORE_COMMON_STATS_H
 
-#include <cstdint>
-#include <map>
+#include <array>
 #include <ostream>
 #include <string>
 
+#include "common/stats_schema.h"
+
 namespace deepstore {
 
-/** A named scalar statistic (double-valued accumulator). */
+/** A scalar statistic (double-valued accumulator). */
 class Stat
 {
   public:
-    Stat() = default;
-
-    void operator+=(double v) { value_ += v; ++samples_; }
-    void set(double v) { value_ = v; samples_ = 1; }
-    void reset() { value_ = 0.0; samples_ = 0; }
+    void operator+=(double v) { value_ += v; recorded_ = true; }
+    void set(double v) { value_ = v; recorded_ = true; }
 
     double value() const { return value_; }
-    std::uint64_t samples() const { return samples_; }
-    double mean() const
-    {
-        return samples_ ? value_ / static_cast<double>(samples_) : 0.0;
-    }
+    /** True once bumped or set; only recorded stats are dumped. */
+    bool recorded() const { return recorded_; }
 
   private:
     double value_ = 0.0;
-    std::uint64_t samples_ = 0;
+    bool recorded_ = false;
 };
 
 /**
- * A group of named statistics. Lookup creates on demand so models can
- * write `stats().get("flash.pageReads") += 1` without registration
- * boilerplate.
+ * One Stat per StatId, e.g. `stats().get(StatId::FlashPageReads) += 1`.
+ * A counter never bumped or set stays out of find() and dump(), so
+ * the dump lists exactly the counters a run touched.
  */
 class StatGroup
 {
   public:
     explicit StatGroup(std::string name = "") : name_(std::move(name)) {}
 
-    /** Get (creating if absent) the statistic with the given name. */
-    Stat &get(const std::string &stat_name) { return stats_[stat_name]; }
+    Stat &get(StatId id) { return stats_[static_cast<std::size_t>(id)]; }
 
-    /** Const lookup; returns nullptr when the stat does not exist. */
-    const Stat *find(const std::string &stat_name) const
+    /** The stat, or nullptr while it has not been recorded. */
+    const Stat *find(StatId id) const
     {
-        auto it = stats_.find(stat_name);
-        return it == stats_.end() ? nullptr : &it->second;
+        const Stat &s = stats_[static_cast<std::size_t>(id)];
+        return s.recorded() ? &s : nullptr;
     }
 
-    /** Reset every statistic in the group. */
-    void resetAll();
-
-    /** Dump "name.stat = value" lines, sorted by name. */
+    /** Dump "group.stat = value" lines of the recorded stats, sorted
+     *  by name. */
     void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-    std::size_t size() const { return stats_.size(); }
 
   private:
     std::string name_;
-    std::map<std::string, Stat> stats_;
+    std::array<Stat, kStatCount> stats_{};
 };
 
 } // namespace deepstore

@@ -3,115 +3,143 @@
  * The registered stats surface: every counter the simulator exposes,
  * in one place (DESIGN.md §9, rule D11).
  *
- * StatGroup::get() creates counters on demand, which keeps the call
- * sites boilerplate-free but historically meant the full stats
- * surface existed only as the union of string literals scattered
- * through src/. This X-macro list is the single source of truth the
- * D11 lint pass cross-checks against the tree:
+ * Each DS_STAT entry is (identifier, dump name, description). The
+ * identifier becomes a StatId enumerator and the name its dump row,
+ * so this list is the only place a counter name is spelt: code bumps
+ * `stats.get(StatId::FlashPageReads)`, and a misspelt or unregistered
+ * counter fails to compile. The DS_STAT entries must stay in
+ * byte-wise name order (a static_assert below checks it): that order
+ * is the dump order.
  *
- *   - every name passed to StatGroup::get("...") under src/ must
- *     appear here as DS_STAT, and vice versa (stale entries are
- *     findings too);
- *   - every manually printed `os << "name = ..."` stats row must
- *     appear as DS_STAT_ROW — the first-class form of the
- *     guarded-row idiom, whose description documents *when* the row
- *     appears in the dump (guarded rows keep default-config dumps
- *     byte-identical to older pins; the determinism sweeps compare
- *     dump strings).
+ * DS_STAT_ROW entries document rows printed by hand (`os << "name =
+ * ..."`) instead of through a StatGroup — the first-class form of the
+ * guarded-row idiom. The description records *when* the row appears:
+ * guarded rows keep default-config dumps byte-identical to older pins
+ * (the determinism sweeps compare dump strings). D11 checks that
+ * every manual row is registered here and that no entry is stale.
  *
- * Keep the list sorted within each block. The descriptions are
- * documentation only; nothing at runtime parses them.
+ * The descriptions are documentation only; nothing at runtime parses
+ * them.
  */
 
 #ifndef DEEPSTORE_COMMON_STATS_SCHEMA_H
 #define DEEPSTORE_COMMON_STATS_SCHEMA_H
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
+#include <string_view>
 
 // clang-format off
 #define DEEPSTORE_STATS_SCHEMA(DS_STAT, DS_STAT_ROW)                        \
     /* ---- array coordinator (StatGroup) --------------------------- */    \
-    DS_STAT("array.fabric.busyTicks",                                       \
+    DS_STAT(ArrayFabricBusyTicks, "array.fabric.busyTicks",                 \
             "ticks the inter-node fabric spent carrying repair/query data") \
-    DS_STAT("array.fabric.bytes",                                           \
+    DS_STAT(ArrayFabricBytes, "array.fabric.bytes",                         \
             "bytes carried over the inter-node fabric")                     \
-    DS_STAT("array.fabric.grants",                                          \
+    DS_STAT(ArrayFabricGrants, "array.fabric.grants",                       \
             "arbitration grants on the inter-node fabric")                  \
-    DS_STAT("array.fabric.waitTicks",                                       \
+    DS_STAT(ArrayFabricWaitTicks, "array.fabric.waitTicks",                 \
             "ticks requesters waited for the inter-node fabric")            \
-    DS_STAT("array.nodeDeaths", "whole-node death events injected")         \
-    DS_STAT("array.powerLosses", "array-wide power-loss events injected")   \
-    DS_STAT("array.queriesScattered",                                       \
+    DS_STAT(ArrayNodeDeaths, "array.nodeDeaths",                            \
+            "whole-node death events injected")                             \
+    DS_STAT(ArrayPowerLosses, "array.powerLosses",                          \
+            "array-wide power-loss events injected")                        \
+    DS_STAT(ArrayQueriesScattered, "array.queriesScattered",                \
             "queries fanned out across shard-holding nodes")                \
-    DS_STAT("array.redispatches",                                           \
+    DS_STAT(ArrayRedispatches, "array.redispatches",                        \
             "sub-queries re-dispatched after a node death")                 \
-    DS_STAT("array.shardsLostNoReplica",                                    \
+    DS_STAT(ArrayShardsLostNoReplica, "array.shardsLostNoReplica",          \
             "shards lost with no surviving replica to re-stripe from")      \
-    DS_STAT("array.subQueriesLost",                                         \
+    DS_STAT(ArraySubQueriesLost, "array.subQueriesLost",                    \
             "sub-queries dropped with their node (before redispatch)")      \
-    DS_STAT("array.subQueriesRemote",                                       \
+    DS_STAT(ArraySubQueriesRemote, "array.subQueriesRemote",                \
             "sub-queries served by a non-home node")                        \
     /* ---- DFV weight stream ---------------------------------------- */   \
-    DS_STAT("dfv.backpressureTicks",                                        \
+    DS_STAT(DfvBackpressureTicks, "dfv.backpressureTicks",                  \
             "ticks the DFV stream stalled waiting on the compute sink")     \
-    DS_STAT("dfv.bursts", "DMA bursts issued by the DFV streamer")          \
-    DS_STAT("dfv.bytesStreamed", "payload bytes streamed to the DFV")       \
-    DS_STAT("dfv.pageRetries",                                              \
+    DS_STAT(DfvBursts, "dfv.bursts",                                        \
+            "DMA bursts issued by the DFV streamer")                        \
+    DS_STAT(DfvBytesStreamed, "dfv.bytesStreamed",                          \
+            "payload bytes streamed to the DFV")                            \
+    DS_STAT(DfvPageRetries, "dfv.pageRetries",                              \
             "pages re-read after a correctable stream error")               \
-    DS_STAT("dfv.pagesFailed", "pages abandoned as uncorrectable")          \
-    DS_STAT("dfv.pagesStreamed", "pages streamed into the DFV")             \
-    DS_STAT("dfv.streamsOpened", "weight/probe streams opened")             \
+    DS_STAT(DfvPagesFailed, "dfv.pagesFailed",                              \
+            "pages abandoned as uncorrectable")                             \
+    DS_STAT(DfvPagesStreamed, "dfv.pagesStreamed",                          \
+            "pages streamed into the DFV")                                  \
+    DS_STAT(DfvStreamsOpened, "dfv.streamsOpened",                          \
+            "weight/probe streams opened")                                  \
     /* ---- shared DRAM ---------------------------------------------- */   \
-    DS_STAT("dram.busyTicks", "ticks the shared DRAM link was busy")        \
-    DS_STAT("dram.waitTicks", "ticks requesters waited on the DRAM link")   \
+    DS_STAT(DramBusyTicks, "dram.busyTicks",                                \
+            "ticks the shared DRAM link was busy")                          \
+    DS_STAT(DramWaitTicks, "dram.waitTicks",                                \
+            "ticks requesters waited on the DRAM link")                     \
     /* ---- flash controller ----------------------------------------- */   \
-    DS_STAT("flash.blockErases", "physical block erases")                   \
-    DS_STAT("flash.channelStalls",                                          \
+    DS_STAT(FlashBlockErases, "flash.blockErases", "physical block erases") \
+    DS_STAT(FlashChannelStalls, "flash.channelStalls",                      \
             "requests that waited for a busy flash channel")                \
-    DS_STAT("flash.pagePrograms", "physical page programs")                 \
-    DS_STAT("flash.pageReads", "physical page reads")                       \
-    DS_STAT("flash.readBytes", "bytes read from flash")                     \
-    DS_STAT("flash.readRetries", "page reads retried after ECC failure")    \
-    DS_STAT("flash.uncorrectableReads",                                     \
+    DS_STAT(FlashPagePrograms, "flash.pagePrograms",                        \
+            "physical page programs")                                       \
+    DS_STAT(FlashPageReads, "flash.pageReads", "physical page reads")       \
+    DS_STAT(FlashReadBytes, "flash.readBytes", "bytes read from flash")     \
+    DS_STAT(FlashReadRetries, "flash.readRetries",                          \
+            "page reads retried after ECC failure")                         \
+    DS_STAT(FlashUncorrectableReads, "flash.uncorrectableReads",            \
             "page reads that exhausted retries (uncorrectable)")            \
-    DS_STAT("flash.writeBytes", "bytes programmed to flash")                \
+    DS_STAT(FlashWriteBytes, "flash.writeBytes",                            \
+            "bytes programmed to flash")                                    \
     /* ---- FTL ------------------------------------------------------ */   \
-    DS_STAT("ftl.migratedPages",                                            \
+    DS_STAT(FtlMigratedPages, "ftl.migratedPages",                          \
             "valid pages migrated during garbage collection")               \
-    DS_STAT("ftl.pageWrites", "logical page writes mapped by the FTL")      \
-    DS_STAT("ftl.relocatedPages",                                           \
+    DS_STAT(FtlPageWrites, "ftl.pageWrites",                                \
+            "logical page writes mapped by the FTL")                        \
+    DS_STAT(FtlRelocatedPages, "ftl.relocatedPages",                        \
             "pages moved by wear-driven background relocation")             \
-    DS_STAT("ftl.relocations", "background relocation passes run")          \
-    DS_STAT("ftl.retiredSuperblocks",                                       \
+    DS_STAT(FtlRelocations, "ftl.relocations",                              \
+            "background relocation passes run")                             \
+    DS_STAT(FtlRetiredSuperblocks, "ftl.retiredSuperblocks",                \
             "superblocks retired at the endurance cap")                     \
-    DS_STAT("ftl.superblockErases", "superblock erase cycles")              \
+    DS_STAT(FtlSuperblockErases, "ftl.superblockErases",                    \
+            "superblock erase cycles")                                      \
     /* ---- host interface / device-internal traffic ---------------- */    \
-    DS_STAT("host.readBytes", "bytes returned to host reads")               \
-    DS_STAT("host.readCommands", "host read commands accepted")             \
-    DS_STAT("host.trimCommands", "host trim commands accepted")             \
-    DS_STAT("host.writeCommands", "host write commands accepted")           \
-    DS_STAT("internal.reads",                                               \
+    DS_STAT(HostReadBytes, "host.readBytes",                                \
+            "bytes returned to host reads")                                 \
+    DS_STAT(HostReadCommands, "host.readCommands",                          \
+            "host read commands accepted")                                  \
+    DS_STAT(HostTrimCommands, "host.trimCommands",                          \
+            "host trim commands accepted")                                  \
+    DS_STAT(HostWriteCommands, "host.writeCommands",                        \
+            "host write commands accepted")                                 \
+    DS_STAT(InternalReads, "internal.reads",                                \
             "device-internal page reads (scan datapath, not host I/O)")     \
-    DS_STAT("noc.waitTicks", "ticks requesters waited on the on-chip NoC")  \
-    DS_STAT("powerLosses", "device power-loss events injected")             \
-    DS_STAT("scrub.reads", "pages read by the background scrubber")         \
+    DS_STAT(NocWaitTicks, "noc.waitTicks",                                  \
+            "ticks requesters waited on the on-chip NoC")                   \
+    DS_STAT(PowerLosses, "powerLosses",                                     \
+            "device power-loss events injected")                            \
     /* ---- query scheduler ------------------------------------------ */   \
-    DS_STAT("sched.deadlineExceeded",                                       \
+    DS_STAT(SchedDeadlineExceeded, "sched.deadlineExceeded",                \
             "queries that blew their latency deadline")                     \
-    DS_STAT("sched.nodeDeathKills",                                         \
+    DS_STAT(SchedNodeDeathKills, "sched.nodeDeathKills",                    \
             "in-flight queries killed by a node death")                     \
-    DS_STAT("sched.powerLossKills",                                         \
+    DS_STAT(SchedPowerLossKills, "sched.powerLossKills",                    \
             "in-flight queries killed by a power loss")                     \
-    DS_STAT("sched.queriesCancelled", "queries cancelled by the host")      \
-    DS_STAT("sched.queriesDegraded",                                        \
+    DS_STAT(SchedQueriesCancelled, "sched.queriesCancelled",                \
+            "queries cancelled by the host")                                \
+    DS_STAT(SchedQueriesDegraded, "sched.queriesDegraded",                  \
             "queries completed with partial shard coverage")                \
-    DS_STAT("sched.shardFailures", "shard-level scan failures")             \
-    DS_STAT("sched.shardReassignments",                                     \
+    DS_STAT(SchedShardFailures, "sched.shardFailures",                      \
+            "shard-level scan failures")                                    \
+    DS_STAT(SchedShardReassignments, "sched.shardReassignments",            \
             "shards reassigned to a surviving replica holder")              \
-    DS_STAT("sched.shardsLost", "shards abandoned after failure")           \
-    DS_STAT("sched.unitFailures", "compute-unit failures injected")         \
-    DS_STAT("sched.watchdogFires", "scheduler watchdog expirations")        \
+    DS_STAT(SchedShardsLost, "sched.shardsLost",                            \
+            "shards abandoned after failure")                               \
+    DS_STAT(SchedUnitFailures, "sched.unitFailures",                        \
+            "compute-unit failures injected")                               \
+    DS_STAT(SchedWatchdogFires, "sched.watchdogFires",                      \
+            "scheduler watchdog expirations")                               \
+    /* ---- background scrubber ------------------------------------- */    \
+    DS_STAT(ScrubReads, "scrub.reads",                                      \
+            "pages read by the background scrubber")                        \
     /* ---- engine rows (deepstore.cc dumpStats; always printed) ----- */   \
     DS_STAT_ROW("engine.completed", "always printed: queries completed")    \
     DS_STAT_ROW("engine.databases", "always printed: databases loaded")     \
@@ -151,17 +179,34 @@
 
 namespace deepstore {
 
-/** Every registered stat name (DS_STAT and DS_STAT_ROW), in schema
- *  order. Tests use this to cross-check the runtime stats surface. */
-inline std::vector<std::string>
-registeredStatNames()
+/** One enumerator per DS_STAT entry, in schema (= dump) order. */
+enum class StatId : std::uint8_t
 {
-    std::vector<std::string> names;
-#define DEEPSTORE_STAT_NAME(name, desc) names.push_back(name);
-    DEEPSTORE_STATS_SCHEMA(DEEPSTORE_STAT_NAME, DEEPSTORE_STAT_NAME)
+#define DEEPSTORE_STAT_ID(id, name, desc) id,
+#define DEEPSTORE_STAT_ROW_NONE(name, desc)
+    DEEPSTORE_STATS_SCHEMA(DEEPSTORE_STAT_ID, DEEPSTORE_STAT_ROW_NONE)
+#undef DEEPSTORE_STAT_ID
+};
+
+/** Dump name of every StatId, indexed by the enumerator. */
+inline constexpr std::string_view kStatNames[] = {
+#define DEEPSTORE_STAT_NAME(id, name, desc) name,
+    DEEPSTORE_STATS_SCHEMA(DEEPSTORE_STAT_NAME, DEEPSTORE_STAT_ROW_NONE)
 #undef DEEPSTORE_STAT_NAME
-    return names;
-}
+};
+#undef DEEPSTORE_STAT_ROW_NONE
+
+inline constexpr std::size_t kStatCount = std::size(kStatNames);
+
+static_assert(
+    [] {
+        for (std::size_t i = 1; i < kStatCount; ++i)
+            if (!(kStatNames[i - 1] < kStatNames[i]))
+                return false;
+        return true;
+    }(),
+    "keep DS_STAT entries in byte-wise name order: StatGroup dumps "
+    "them in enumerator order");
 
 } // namespace deepstore
 

@@ -434,7 +434,7 @@ ArrayCoordinator::scatter(std::uint64_t query_id,
     agg.builder = builder;
     agg.done = std::move(done);
     ++inFlight_;
-    arrayStats_.get("array.queriesScattered") += 1;
+    arrayStats_.get(StatId::ArrayQueriesScattered) += 1;
 
     // One sub-target per shard overlapping the range, from each
     // shard's first alive placement; shards with no survivor are
@@ -458,7 +458,7 @@ ArrayCoordinator::scatter(std::uint64_t query_id,
         const int pi = alivePlacement(shard, {});
         if (pi < 0) {
             agg.lostFeatures += hi - lo;
-            arrayStats_.get("array.shardsLostNoReplica") += 1;
+            arrayStats_.get(StatId::ArrayShardsLostNoReplica) += 1;
             continue;
         }
         const ShardPlacement &pl =
@@ -511,7 +511,7 @@ ArrayCoordinator::scatter(std::uint64_t query_id,
                                ? fabric_.acquire(now, scatter_bytes)
                                : now;
         agg.interNodeBytes += scatter_bytes;
-        arrayStats_.get("array.subQueriesRemote") += 1;
+        arrayStats_.get(StatId::ArraySubQueriesRemote) += 1;
         const std::uint64_t gen = agg.gen;
         events_.schedule(
             grant, [this, query_id, idx = p.idx, gen,
@@ -528,7 +528,7 @@ ArrayCoordinator::scatter(std::uint64_t query_id,
                     // fail over immediately (zero coverage).
                     if (!tryRedispatch(a, idx, 0)) {
                         a.subs[idx].terminal = true;
-                        arrayStats_.get("array.subQueriesLost") += 1;
+                        arrayStats_.get(StatId::ArraySubQueriesLost) += 1;
                         subArrived(a);
                     }
                     return;
@@ -601,7 +601,7 @@ ArrayCoordinator::onSubTerminal(std::uint64_t query_id,
         if (tryRedispatch(agg, idx, covered))
             return;
         agg.lostFeatures += (ss.localEnd - ss.localStart) - covered;
-        arrayStats_.get("array.subQueriesLost") += 1;
+        arrayStats_.get(StatId::ArraySubQueriesLost) += 1;
         subArrived(agg);
         return;
     }
@@ -671,7 +671,7 @@ ArrayCoordinator::tryRedispatch(AggQuery &agg, std::size_t idx,
     const std::size_t new_idx = agg.subs.size();
     agg.subs.push_back(repl);
     ++agg.redispatches;
-    arrayStats_.get("array.redispatches") += 1;
+    arrayStats_.get(StatId::ArrayRedispatches) += 1;
     trackNode(agg, pl.node);
 
     SubTarget target;
@@ -705,7 +705,7 @@ ArrayCoordinator::tryRedispatch(AggQuery &agg, std::size_t idx,
         if (!nodes_[a.subs[new_idx].node]->alive()) {
             if (!tryRedispatch(a, new_idx, 0)) {
                 a.subs[new_idx].terminal = true;
-                arrayStats_.get("array.subQueriesLost") += 1;
+                arrayStats_.get(StatId::ArraySubQueriesLost) += 1;
                 subArrived(a);
             }
             return;
@@ -1339,7 +1339,7 @@ ArrayCoordinator::killNode(std::uint32_t node_i)
     SsdNode &nd = *nodes_[node_i];
     if (!nd.alive())
         return KillNodeResult::AlreadyDead;
-    arrayStats_.get("array.nodeDeaths") += 1;
+    arrayStats_.get(StatId::ArrayNodeDeaths) += 1;
     // kill() marks the drive dead first, then fails its in-flight
     // sub-queries; their finalizes land in onSubTerminal, which sees
     // the dead node and re-stripes onto replicas.
@@ -1354,7 +1354,7 @@ ArrayCoordinator::killNode(std::uint32_t node_i)
 void
 ArrayCoordinator::powerLoss()
 {
-    arrayStats_.get("array.powerLosses") += 1;
+    arrayStats_.get(StatId::ArrayPowerLosses) += 1;
     // Kill every node's in-flight sub-queries at the loss tick;
     // merge legs are suppressed (inPowerLoss_) so arrivals are
     // synchronous and aggregates finalize *now*, before volatile
@@ -1426,13 +1426,13 @@ ArrayCoordinator::dumpStats(std::ostream &os)
     if (tornSuperblocks_ > 0)
         os << "array.superblock.tornReplicas = " << tornSuperblocks_
            << "\n";
-    arrayStats_.get("array.fabric.grants")
+    arrayStats_.get(StatId::ArrayFabricGrants)
         .set(static_cast<double>(fabric_.grants()));
-    arrayStats_.get("array.fabric.bytes")
+    arrayStats_.get(StatId::ArrayFabricBytes)
         .set(static_cast<double>(fabric_.bytesCarried()));
-    arrayStats_.get("array.fabric.waitTicks")
+    arrayStats_.get(StatId::ArrayFabricWaitTicks)
         .set(static_cast<double>(fabric_.waitTicks()));
-    arrayStats_.get("array.fabric.busyTicks")
+    arrayStats_.get(StatId::ArrayFabricBusyTicks)
         .set(static_cast<double>(fabric_.busyTicks()));
     arrayStats_.dump(os);
     // Node 0 dumps unprefixed for continuity with the single-SSD

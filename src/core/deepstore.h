@@ -265,18 +265,8 @@ class DeepStore
     }
 
     const DeepStoreModel &model() const { return model_; }
-    /** Node 0's raw device (single-node compatibility shim for
-     *  tests/benches; engine code goes through the array). */
-    ssd::Ssd &ssd() { return array_->node(0).device(); }
     sim::EventQueue &events() { return events_; }
     QueryCache *queryCache() { return queryCache_.get(); }
-    /** Node 0's scheduler (single-node compatibility shim; on a
-     *  1-node array every query id is a node-0 sub-query id). */
-    const QueryScheduler &scheduler() const
-    {
-        return array_->node(0).scheduler();
-    }
-
     /** The sharded multi-SSD array behind this engine (a 1-node
      *  array by default). */
     ArrayCoordinator &array() { return *array_; }

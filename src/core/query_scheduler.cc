@@ -203,7 +203,7 @@ class QueryScheduler::AcceleratorUnit
         if (dead_)
             return;
         dead_ = true;
-        stats_.get("sched.unitFailures") += 1;
+        stats_.get(StatId::SchedUnitFailures) += 1;
         std::vector<ShardRemnant> remnants;
         for (auto &g : groups_) {
             if (g->finished)
@@ -397,7 +397,7 @@ class QueryScheduler::AcceleratorUnit
                 auto r = detachShard(seq);
                 if (!r)
                     return;
-                stats_.get("sched.watchdogFires") += 1;
+                stats_.get(StatId::SchedWatchdogFires) += 1;
                 sched_.shardFailed(std::move(*r));
             });
     }
@@ -595,7 +595,7 @@ QueryScheduler::submit(QuerySubmission submission)
                     isTerminal(qit->second.state))
                     return;
                 qit->second.deadlineArmed = false;
-                stats_.get("sched.deadlineExceeded") += 1;
+                stats_.get(StatId::SchedDeadlineExceeded) += 1;
                 degradeQuery(qit->second,
                              QueryOutcome::DeadlineExceeded);
             });
@@ -755,7 +755,7 @@ QueryScheduler::shardFailed(ShardRemnant r)
         return;
     }
     q.coveredFeatures += r.featuresDone;
-    stats_.get("sched.shardFailures") += 1;
+    stats_.get(StatId::SchedShardFailures) += 1;
     if (r.featuresLeft == 0) {
         finishShard(q, r.seq);
         return;
@@ -763,13 +763,13 @@ QueryScheduler::shardFailed(ShardRemnant r)
     if (s.retries >= config_.maxShardRetries) {
         // Retry budget exhausted: abandon the remainder; the query
         // will finish Degraded with partial coverage.
-        stats_.get("sched.shardsLost") += 1;
+        stats_.get(StatId::SchedShardsLost) += 1;
         finishShard(q, r.seq);
         return;
     }
     auto target = chooseUnit(s.level, s.unitIndex);
     if (!target) {
-        stats_.get("sched.shardsLost") += 1;
+        stats_.get(StatId::SchedShardsLost) += 1;
         finishShard(q, r.seq);
         return;
     }
@@ -777,7 +777,7 @@ QueryScheduler::shardFailed(ShardRemnant r)
     s.features = r.featuresLeft;
     s.level = target->first;
     s.unitIndex = target->second;
-    stats_.get("sched.shardReassignments") += 1;
+    stats_.get(StatId::SchedShardReassignments) += 1;
     // Exponential backoff in simulated time before the re-dispatch.
     const Tick backoff = secondsToTicks(
         config_.shardRetryBackoffSeconds *
@@ -848,7 +848,7 @@ QueryScheduler::cancel(std::uint64_t query_id)
     auto it = queries_.find(query_id);
     if (it == queries_.end() || isTerminal(it->second.state))
         return false;
-    stats_.get("sched.queriesCancelled") += 1;
+    stats_.get(StatId::SchedQueriesCancelled) += 1;
     degradeQuery(it->second, QueryOutcome::Aborted);
     return true;
 }
@@ -870,9 +870,9 @@ QueryScheduler::failAllInFlight(QueryOutcome outcome)
         if (!isTerminal(q.state))
             live.push_back(id);
     }
-    const char *counter = outcome == QueryOutcome::PowerLoss
-                              ? "sched.powerLossKills"
-                              : "sched.nodeDeathKills";
+    const StatId counter = outcome == QueryOutcome::PowerLoss
+                               ? StatId::SchedPowerLossKills
+                               : StatId::SchedNodeDeathKills;
     for (std::uint64_t id : live) {
         auto it = queries_.find(id);
         if (it == queries_.end() || isTerminal(it->second.state))
@@ -920,7 +920,7 @@ QueryScheduler::completeQuery(QueryInfo &q, QueryOutcome outcome)
                   : QueryState::Degraded;
     q.completeTick = events_.now();
     if (outcome != QueryOutcome::Success)
-        stats_.get("sched.queriesDegraded") += 1;
+        stats_.get(StatId::SchedQueriesDegraded) += 1;
     DS_ASSERT(inFlight_ > 0);
     --inFlight_;
     ++completed_;

@@ -8,70 +8,6 @@
 namespace deepstore::core {
 
 ReplayStats
-replayTraceClosedForm(const workloads::QueryTrace &trace,
-                      const ReplayService &service, QueryCache *cache)
-{
-    if (service.scanSeconds <= 0.0)
-        fatal("replay needs a positive scan time");
-    ReplayStats stats;
-    stats.queries = trace.size();
-    if (trace.size() == 0)
-        return stats;
-
-    std::vector<double> response;
-    response.reserve(trace.size());
-    double server_free = 0.0;
-    double busy = 0.0;
-    std::uint64_t misses = 0;
-
-    for (const auto &rec : trace.records()) {
-        double service_time;
-        if (cache) {
-            CacheLookup out = cache->lookup(rec.queryId);
-            if (out.hit) {
-                service_time =
-                    service.lookupSeconds + service.hitExtraSeconds;
-            } else {
-                cache->insert(rec.queryId, {});
-                service_time =
-                    service.lookupSeconds + service.scanSeconds;
-                ++misses;
-            }
-        } else {
-            service_time = service.scanSeconds;
-            ++misses;
-        }
-        double start = std::max(rec.arrivalSeconds, server_free);
-        double finish = start + service_time;
-        server_free = finish;
-        busy += service_time;
-        response.push_back(finish - rec.arrivalSeconds);
-    }
-
-    std::sort(response.begin(), response.end());
-    auto pct = [&](double p) {
-        auto idx = static_cast<std::size_t>(
-            p * static_cast<double>(response.size() - 1));
-        return response[idx];
-    };
-    double sum = 0.0;
-    for (double r : response)
-        sum += r;
-    stats.meanSeconds = sum / static_cast<double>(response.size());
-    stats.p50Seconds = pct(0.50);
-    stats.p95Seconds = pct(0.95);
-    stats.p99Seconds = pct(0.99);
-    stats.maxSeconds = response.back();
-    stats.missRate = static_cast<double>(misses) /
-                     static_cast<double>(trace.size());
-    double span = std::max(trace.durationSeconds(), server_free);
-    stats.utilization = span > 0.0 ? busy / span : 0.0;
-    stats.throughput =
-        span > 0.0 ? static_cast<double>(trace.size()) / span : 0.0;
-    return stats;
-}
-
-ReplayStats
 replayTrace(DeepStore &store, const workloads::QueryTrace &trace,
             const EngineReplayConfig &config)
 {

@@ -2,47 +2,22 @@
  * @file
  * Trace replay: feed a timestamped query trace (paper §5) through a
  * query system and report throughput and the response-time
- * distribution. Two backends:
- *
- * - replayTrace (the default): drive a live DeepStore through its
- *   asynchronous submit path. Arrivals become event-queue events at
- *   their trace timestamps, queries overlap on the accelerator
- *   complex under the scheduler's sharing model, and per-query
- *   response times come from real completion ticks.
- *
- * - replayTraceClosedForm (validator-only): a closed-form
- *   single-server FIFO queueing model (the GPU+SSD baseline or a
- *   DeepStore level, with or without the Query Cache). One scan owns
- *   the accelerators at a time, so a query's response time is its
- *   queueing delay plus its own service time. It exists to sanity-
- *   check the live backend's light-load behavior and to model
- *   systems (the GPU baseline) that have no event-driven engine —
- *   it is NOT a timing source for DeepStore results; reach for it
- *   only behind an explicit flag.
+ * distribution. replayTrace drives a live DeepStore through its
+ * asynchronous submit path: arrivals become event-queue events at
+ * their trace timestamps, queries overlap on the accelerator complex
+ * under the scheduler's sharing model, and per-query response times
+ * come from real completion ticks.
  */
 
 #ifndef DEEPSTORE_CORE_TRACE_REPLAY_H
 #define DEEPSTORE_CORE_TRACE_REPLAY_H
 
-#include <functional>
 #include <optional>
 
 #include "core/deepstore.h"
-#include "core/query_cache.h"
 #include "workloads/trace.h"
 
 namespace deepstore::core {
-
-/** Service-time model for one query system. */
-struct ReplayService
-{
-    /** Full database scan (cache miss, or no cache). */
-    double scanSeconds = 0.0;
-    /** Cache lookup over all entries (0 when no cache). */
-    double lookupSeconds = 0.0;
-    /** SCN over the cached top-K on a hit. */
-    double hitExtraSeconds = 0.0;
-};
 
 /** Response-time statistics from a replay. */
 struct ReplayStats
@@ -60,18 +35,6 @@ struct ReplayStats
     double throughput = 0.0;
 };
 
-/**
- * **Validator-only** closed-form replay: a single-server FIFO
- * queueing model over the analytic service times. When `cache` is
- * non-null it is consulted (and updated) per query using Algorithm 1;
- * pass nullptr for a cache-less system. Use replayTrace (the live
- * engine backend) for DeepStore timing; this model exists to
- * cross-check it and to cover systems with no event-driven engine.
- */
-ReplayStats replayTraceClosedForm(const workloads::QueryTrace &trace,
-                                  const ReplayService &service,
-                                  QueryCache *cache);
-
 /** How replayTrace turns trace records into queries. */
 struct EngineReplayConfig
 {
@@ -88,10 +51,10 @@ struct EngineReplayConfig
 };
 
 /**
- * Replay the trace on a live engine (the default backend): each
- * record's query is submitted asynchronously at its arrival tick,
- * queries interleave on the accelerator complex, and response times
- * are completion - arrival in simulated time. The engine's own Query
+ * Replay the trace on a live engine: each record's query is
+ * submitted asynchronously at its arrival tick, queries interleave on
+ * the accelerator complex, and response times are completion -
+ * arrival in simulated time. The engine's own Query
  * Cache (setQC) decides hits/misses. Note `utilization` here reports
  * accelerator-time occupancy over the span — it can exceed 1 when
  * scans overlap.

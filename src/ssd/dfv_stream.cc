@@ -33,7 +33,7 @@ DfvStream::maybeIssueBurst()
     const std::uint64_t n = std::min<std::uint64_t>(
         plan_.queueDepthPages, pagesTotal() - issued_);
     ++bursts_;
-    stats_.get("dfv.bursts") += 1;
+    stats_.get(StatId::DfvBursts) += 1;
     // Stagger same-controller reads at the steady-state page
     // interval; different controllers issue in parallel.
     std::map<std::uint32_t, std::uint64_t> perChannel;
@@ -78,7 +78,7 @@ DfvStream::pageUncorrectable(std::uint64_t index,
     if (attempt < plan_.maxPageRetries) {
         // Bounded reissue with exponential backoff in simulated
         // time; the injector re-rolls its decision per attempt.
-        stats_.get("dfv.pageRetries") += 1;
+        stats_.get(StatId::DfvPageRetries) += 1;
         attempts_[index] = attempt + 1;
         const Tick backoff =
             secondsToTicks(plan_.pageRetryBackoffSeconds *
@@ -93,7 +93,7 @@ DfvStream::pageUncorrectable(std::uint64_t index,
     // Abandon: record the loss, but count the page as delivered so
     // the prefix (and the burst barrier) keeps advancing — a bad
     // page degrades coverage, it never deadlocks the scan.
-    stats_.get("dfv.pagesFailed") += 1;
+    stats_.get(StatId::DfvPagesFailed) += 1;
     auto it = std::lower_bound(failedPages_.begin(),
                                failedPages_.end(), index);
     failedPages_.insert(it, index);
@@ -110,8 +110,8 @@ DfvStream::pageDelivered(std::uint64_t index, bool ok)
     DS_ASSERT(!delivered_[index]);
     delivered_[index] = true;
     if (ok) {
-        stats_.get("dfv.pagesStreamed") += 1;
-        stats_.get("dfv.bytesStreamed") +=
+        stats_.get(StatId::DfvPagesStreamed) += 1;
+        stats_.get(StatId::DfvBytesStreamed) +=
             static_cast<double>(plan_.transferBytesPerPage);
     }
     const std::uint64_t before = deliveredPrefix_;
@@ -143,7 +143,7 @@ DfvStream::consumedThrough(std::uint64_t pages)
     if (blocked_ && consumed_ >= issued_) {
         const Tick stalled = events_.now() - blockedSince_;
         backpressureTicks_ += stalled;
-        stats_.get("dfv.backpressureTicks") +=
+        stats_.get(StatId::DfvBackpressureTicks) +=
             static_cast<double>(stalled);
         blocked_ = false;
     }
@@ -203,7 +203,7 @@ DfvStreamService::open(DfvPlan plan)
     streams_.push_back(std::unique_ptr<DfvStream>(
         new DfvStream(events_, std::move(plan), route_, stats_)));
     ++active_;
-    stats_.get("dfv.streamsOpened") += 1;
+    stats_.get(StatId::DfvStreamsOpened) += 1;
     DfvStream &s = *streams_.back();
     s.maybeIssueBurst();
     return s;

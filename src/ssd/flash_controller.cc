@@ -161,11 +161,11 @@ FlashController::issue(FlashCommand cmd)
         Tick read_start = std::max(now, plane);
         Tick read_done = read_start + t.arrayTicks;
         plane = read_done;
-        stats_.get("flash.pageReads") += 1;
+        stats_.get(StatId::FlashPageReads) += 1;
         if (t.status == FlashStatus::RetriedOk)
-            stats_.get("flash.readRetries") += 1;
+            stats_.get(StatId::FlashReadRetries) += 1;
         if (t.channelStall > 0)
-            stats_.get("flash.channelStalls") += 1;
+            stats_.get(StatId::FlashChannelStalls) += 1;
         // Lifecycle accounting: only *issued* reads disturb cells
         // (estimates never reach here), and the observer runs after
         // this read's timing is fixed, so it never counts itself.
@@ -174,7 +174,7 @@ FlashController::issue(FlashCommand cmd)
         if (t.status == FlashStatus::Uncorrectable) {
             // The controller gives up after the ladder and reports
             // the error without a data transfer.
-            stats_.get("flash.uncorrectableReads") += 1;
+            stats_.get(StatId::FlashUncorrectableReads) += 1;
             if (cmd.onComplete) {
                 events_.schedule(
                     read_done, [cb = std::move(cmd.onComplete),
@@ -191,7 +191,7 @@ FlashController::issue(FlashCommand cmd)
             t.channelStall +
                 secondsToTicks(params_.channelTransferTime(
                     cmd.transferBytes)));
-        stats_.get("flash.readBytes") +=
+        stats_.get(StatId::FlashReadBytes) +=
             static_cast<double>(cmd.transferBytes);
         if (cmd.onComplete) {
             events_.schedule(xfer_done,
@@ -211,8 +211,8 @@ FlashController::issue(FlashCommand cmd)
         Tick prog_done =
             prog_start + secondsToTicks(params_.programLatency);
         plane = prog_done;
-        stats_.get("flash.pagePrograms") += 1;
-        stats_.get("flash.writeBytes") +=
+        stats_.get(StatId::FlashPagePrograms) += 1;
+        stats_.get(StatId::FlashWriteBytes) +=
             static_cast<double>(cmd.transferBytes);
         if (cmd.onComplete) {
             events_.schedule(prog_done,
@@ -227,7 +227,7 @@ FlashController::issue(FlashCommand cmd)
         Tick start = std::max(now, plane);
         Tick done = start + secondsToTicks(params_.eraseLatency);
         plane = done;
-        stats_.get("flash.blockErases") += 1;
+        stats_.get(StatId::FlashBlockErases) += 1;
         if (cmd.onComplete) {
             events_.schedule(
                 done, [cb = std::move(cmd.onComplete), done] {

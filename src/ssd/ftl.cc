@@ -104,7 +104,7 @@ Ftl::eraseSuperblock(std::uint32_t phys)
     programTick_[phys] = 0;
     errorCount_[phys] = 0;
     retriedCount_[phys] = 0;
-    stats_.get("ftl.superblockErases") += 1;
+    stats_.get(StatId::FtlSuperblockErases) += 1;
     if (params_.wear.enabled && params_.wear.maxEraseCount > 0 &&
         eraseCount_[phys] >= params_.wear.maxEraseCount) {
         // Endurance budget exhausted: this erase was the block's
@@ -138,7 +138,7 @@ Ftl::write(std::uint64_t lpn, Tick now)
         std::uint32_t new_phys = allocateSuperblock();
         res.migratedPages = validCount_[sb] - 1; // all but the page
         res.erasedBlocks = 1;
-        stats_.get("ftl.migratedPages") +=
+        stats_.get(StatId::FtlMigratedPages) +=
             static_cast<double>(res.migratedPages);
         // A relocation of the old physical block (if any) is now
         // stale; finishRelocation() will notice the map moved.
@@ -153,7 +153,7 @@ Ftl::write(std::uint64_t lpn, Tick now)
     }
 
     programTick_[map_[sb]] = now;
-    stats_.get("ftl.pageWrites") += 1;
+    stats_.get(StatId::FtlPageWrites) += 1;
     res.ppn = static_cast<std::uint64_t>(map_[sb]) * superPages_ + off;
     return res;
 }
@@ -324,8 +324,8 @@ Ftl::finishRelocation(const RelocationJob &job, bool retire_old,
     physToLogical_[job.oldPhys] = kUnmapped;
     programTick_[job.newPhys] = now;
     ++mappingEpoch_;
-    stats_.get("ftl.relocations") += 1;
-    stats_.get("ftl.relocatedPages") +=
+    stats_.get(StatId::FtlRelocations) += 1;
+    stats_.get(StatId::FtlRelocatedPages) +=
         static_cast<double>(job.validOffsets.size());
     if (retire_old) {
         freeSb_[job.oldPhys] = false;
@@ -358,7 +358,7 @@ Ftl::retireSuperblock(std::uint32_t phys)
     DS_ASSERT(!freeSb_[phys]);
     retired_[phys] = true;
     relocating_[phys] = false;
-    stats_.get("ftl.retiredSuperblocks") += 1;
+    stats_.get(StatId::FtlRetiredSuperblocks) += 1;
 }
 
 std::uint64_t

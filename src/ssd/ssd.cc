@@ -55,11 +55,11 @@ Ssd::nocWaitTicks() const
 void
 Ssd::syncLinkStats()
 {
-    stats_.get("noc.waitTicks")
+    stats_.get(StatId::NocWaitTicks)
         .set(static_cast<double>(nocWaitTicks()));
-    stats_.get("dram.waitTicks")
+    stats_.get(StatId::DramWaitTicks)
         .set(static_cast<double>(dram_.waitTicks()));
-    stats_.get("dram.busyTicks")
+    stats_.get(StatId::DramBusyTicks)
         .set(static_cast<double>(dram_.busyTicks()));
 }
 
@@ -84,7 +84,7 @@ Ssd::hostWrite(std::uint64_t lpn_start, std::uint64_t count,
                Completion on_complete)
 {
     DS_ASSERT(count > 0);
-    stats_.get("host.writeCommands") += 1;
+    stats_.get(StatId::HostWriteCommands) += 1;
     auto remaining = std::make_shared<std::uint64_t>(count);
     auto last = std::make_shared<Tick>(0);
 
@@ -116,7 +116,7 @@ Ssd::hostRead(std::uint64_t lpn_start, std::uint64_t count,
               Completion on_complete)
 {
     DS_ASSERT(count > 0);
-    stats_.get("host.readCommands") += 1;
+    stats_.get(StatId::HostReadCommands) += 1;
     auto remaining = std::make_shared<std::uint64_t>(count);
     auto last = std::make_shared<Tick>(0);
 
@@ -143,7 +143,7 @@ Ssd::hostRead(std::uint64_t lpn_start, std::uint64_t count,
                         static_cast<double>(params_.pageBytes) /
                         params_.externalBandwidth);
                 externalBusyUntil_ = xfer_done;
-                stats_.get("host.readBytes") +=
+                stats_.get(StatId::HostReadBytes) +=
                     static_cast<double>(params_.pageBytes);
                 events_.schedule(xfer_done,
                                  [remaining, last, cb, xfer_done] {
@@ -162,7 +162,7 @@ Ssd::hostTrim(std::uint64_t lpn_start, std::uint64_t count,
               Completion on_complete)
 {
     DS_ASSERT(count > 0);
-    stats_.get("host.trimCommands") += 1;
+    stats_.get(StatId::HostTrimCommands) += 1;
     events_.schedule(hostDispatchTick(), [this, lpn_start, count,
                                           cb = std::move(
                                               on_complete)] {
@@ -215,7 +215,7 @@ Ssd::internalRead(std::uint64_t ppn, std::uint64_t bytes,
         if (cb)
             cb(t);
     };
-    stats_.get("internal.reads") += 1;
+    stats_.get(StatId::InternalReads) += 1;
     controllers_[addr.channel]->issue(std::move(cmd));
 }
 
@@ -232,7 +232,7 @@ Ssd::scrubRead(std::uint64_t ppn, StatusCompletion on_complete)
         if (cb)
             cb(t, st);
     };
-    stats_.get("scrub.reads") += 1;
+    stats_.get(StatId::ScrubReads) += 1;
     controllers_[addr.channel]->issue(std::move(cmd));
 }
 
@@ -394,7 +394,7 @@ Ssd::finishRelocation(const std::shared_ptr<RelocState> &st)
 void
 Ssd::powerLoss()
 {
-    stats_.get("powerLosses") += 1;
+    stats_.get(StatId::PowerLosses) += 1;
     ++powerGen_;
     for (auto &st : relocations_)
         ftl_.abortRelocation(st->job);

@@ -124,7 +124,7 @@ TEST(AccelPipeline, RetryInjectionSlowsTheScan)
     auto slow = runAcceleratorPipeline(
         injected.events, *injected.channel, injected.params, cfg);
     EXPECT_GT(slow.totalSeconds, base.totalSeconds);
-    EXPECT_GT(injected.stats.find("flash.readRetries")->value(), 0.0);
+    EXPECT_GT(injected.stats.find(StatId::FlashReadRetries)->value(), 0.0);
     // A deep queue largely hides sparse retries.
     EXPECT_LT(slow.totalSeconds, 1.30 * base.totalSeconds);
 }

@@ -107,10 +107,10 @@ TEST(UnifiedDatapath, LiveScanMatchesStandalonePipelineTickForTick)
 
     std::uint64_t qid = ds.querySync(src->featureAt(2), 4, model, db,
                                      0, 0, Level::ChannelLevel);
-    const QueryRunStats rs = ds.scheduler().runStats(qid);
+    const QueryRunStats rs = ds.array().node(0).scheduler().runStats(qid);
     EXPECT_GT(rs.reduceTicks, 0u);
-    const Tick live_ticks = ds.scheduler().completeTick(qid) -
-                            ds.scheduler().submitTick(qid) -
+    const Tick live_ticks = ds.array().node(0).scheduler().completeTick(qid) -
+                            ds.array().node(0).scheduler().submitTick(qid) -
                             rs.reduceTicks;
 
     // The same scan on a standalone controller and private queue.
@@ -161,7 +161,7 @@ scanLatencyUnderStorm(std::optional<std::uint64_t> storm_lpn,
 
     if (storm_lpn) {
         for (int i = 0; i < storm_reads; ++i)
-            ds.ssd().hostRead(*storm_lpn, 1, [](Tick) {});
+            ds.array().node(0).device().hostRead(*storm_lpn, 1, [](Tick) {});
     }
     // Submit the query a little into the storm so its first flash
     // read queues behind in-flight host reads (if any share its
@@ -341,8 +341,9 @@ sweepRun(std::uint64_t seed)
     std::uint64_t qid = ds.querySync(src->featureAt(seed % features),
                                      5, model, db, 0, 0,
                                      Level::ChannelLevel);
-    QueryRunStats rs = ds.scheduler().runStats(qid);
-    return {ds.scheduler().completeTick(qid), rs.computeStallTicks,
+    const QueryScheduler &sched = ds.array().node(0).scheduler();
+    QueryRunStats rs = sched.runStats(qid);
+    return {sched.completeTick(qid), rs.computeStallTicks,
             rs.backpressureTicks, rs.reduceTicks};
 }
 

@@ -247,6 +247,77 @@ TEST(DeepStoreApi, DumpStatsReportsEngineAndSsdCounters)
     EXPECT_NE(s.find("ssd.flash.pagePrograms"), std::string::npos);
 }
 
+TEST(DeepStoreApi, DumpStatsGoldenTextOnTwoNodeArray)
+{
+    // The full dump, byte for byte: row order, group prefixes
+    // (node 0 unprefixed, `node1.` for the second node, the
+    // coordinator's `array.array.` double prefix) and which counters
+    // appear at all — a counter never bumped or set prints no row.
+    DeepStoreConfig cfg = smallConfig();
+    cfg.array.nodes = {cfg.flash, cfg.flash};
+    DeepStore ds(cfg);
+    auto src = randomDb(16, 64, 5);
+    std::uint64_t db = ds.writeDB(src);
+    ds.appendDB(db, randomDb(16, 32, 6));
+    std::uint64_t scn = ds.loadModel(dotModel(16));
+    ds.getResults(ds.querySync(src->featureAt(3), 4, scn, db, 0, 0));
+    ds.getResults(ds.querySync(src->featureAt(9), 4, scn, db, 0, 0));
+    std::ostringstream os;
+    ds.dumpStats(os);
+    EXPECT_EQ(os.str(),
+              "engine.databases = 1\n"
+              "engine.models = 1\n"
+              "engine.queries = 2\n"
+              "engine.inFlight = 0\n"
+              "engine.completed = 4\n"
+              "engine.simulatedSeconds = 0.00119468\n"
+              "engine.time.hostWrite = 0.00104496\n"
+              "engine.time.hostRead = 0\n"
+              "engine.time.modelUpload = 0\n"
+              "engine.time.qcLookup = 0\n"
+              "engine.time.cacheHit = 0\n"
+              "engine.time.scan = 0.000149725\n"
+              "engine.time.metadata = 0\n"
+              "array.nodes = 2\n"
+              "array.aliveNodes = 2\n"
+              "array.replication = 1\n"
+              "array.array.fabric.busyTicks = 34998\n"
+              "array.array.fabric.bytes = 448\n"
+              "array.array.fabric.grants = 4\n"
+              "array.array.fabric.waitTicks = 0\n"
+              "array.array.queriesScattered = 2\n"
+              "array.array.subQueriesRemote = 2\n"
+              "ssd.dfv.bursts = 2\n"
+              "ssd.dfv.bytesStreamed = 32768\n"
+              "ssd.dfv.pagesStreamed = 2\n"
+              "ssd.dfv.streamsOpened = 2\n"
+              "ssd.dram.busyTicks = 9600\n"
+              "ssd.dram.waitTicks = 0\n"
+              "ssd.flash.pagePrograms = 1\n"
+              "ssd.flash.pageReads = 2\n"
+              "ssd.flash.readBytes = 32768\n"
+              "ssd.flash.writeBytes = 16384\n"
+              "ssd.ftl.pageWrites = 1\n"
+              "ssd.host.writeCommands = 1\n"
+              "ssd.noc.waitTicks = 0\n"
+              "node1.ssd.dfv.bursts = 2\n"
+              "node1.ssd.dfv.bytesStreamed = 32768\n"
+              "node1.ssd.dfv.pagesStreamed = 2\n"
+              "node1.ssd.dfv.streamsOpened = 2\n"
+              "node1.ssd.dram.busyTicks = 9600\n"
+              "node1.ssd.dram.waitTicks = 0\n"
+              "node1.ssd.flash.pagePrograms = 1\n"
+              "node1.ssd.flash.pageReads = 2\n"
+              "node1.ssd.flash.readBytes = 32768\n"
+              "node1.ssd.flash.writeBytes = 16384\n"
+              "node1.ssd.ftl.pageWrites = 1\n"
+              "node1.ssd.host.writeCommands = 1\n"
+              "node1.ssd.noc.waitTicks = 0\n");
+    // Never bumped on this fault-free run, so never printed.
+    EXPECT_EQ(os.str().find("flash.uncorrectableReads"),
+              std::string::npos);
+}
+
 TEST(DeepStoreApi, SerializedModelRoundTripsThroughApi)
 {
     DeepStore ds(smallConfig());

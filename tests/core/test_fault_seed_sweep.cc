@@ -104,7 +104,7 @@ fingerprint(std::uint64_t seed)
         const QueryResult &r = ds.getResults(q);
         os << q << ":" << toString(r.outcome) << ":"
            << r.featuresScanned << ":"
-           << ds.scheduler().completeTick(q) << "\n";
+           << ds.array().node(0).scheduler().completeTick(q) << "\n";
     }
     ds.dumpStats(os);
     return os.str();

@@ -1,4 +1,4 @@
-/** @file Tests for the trace-replay queueing model. */
+/** @file Tests for trace replay on the live engine. */
 
 #include <gtest/gtest.h>
 
@@ -16,83 +16,6 @@ universe()
     cfg.numTopics = 20;
     return workloads::QueryUniverse(cfg);
 }
-
-TEST(TraceReplay, RejectsZeroScanTime)
-{
-    auto u = universe();
-    auto trace = workloads::QueryTrace::generate(
-        u, 10, 5.0, workloads::Popularity::Uniform, 0.0, 1);
-    ReplayService s;
-    EXPECT_THROW(replayTraceClosedForm(trace, s, nullptr), FatalError);
-}
-
-TEST(TraceReplay, EmptyTraceYieldsZeroStats)
-{
-    ReplayService s;
-    s.scanSeconds = 1e-3;
-    auto stats =
-        replayTraceClosedForm(workloads::QueryTrace{}, s, nullptr);
-    EXPECT_EQ(stats.queries, 0u);
-}
-
-TEST(TraceReplay, LightLoadResponseEqualsServiceTime)
-{
-    // Arrivals far apart: no queueing, every response = scan time.
-    auto u = universe();
-    auto trace = workloads::QueryTrace::generate(
-        u, 100, 1.0, workloads::Popularity::Uniform, 0.0, 2);
-    ReplayService s;
-    s.scanSeconds = 1e-3; // 1 ms scan vs 1 s inter-arrival
-    auto stats = replayTraceClosedForm(trace, s, nullptr);
-    EXPECT_NEAR(stats.p50Seconds, 1e-3, 1e-9);
-    // Rare arrival coincidences add a little queueing at the tail.
-    EXPECT_NEAR(stats.p99Seconds, 1e-3, 1e-4);
-    EXPECT_DOUBLE_EQ(stats.missRate, 1.0);
-    EXPECT_LT(stats.utilization, 0.01);
-}
-
-TEST(TraceReplay, OverloadGrowsQueueingDelay)
-{
-    // Offered load > capacity: tail latencies blow past the mean
-    // service time.
-    auto u = universe();
-    auto trace = workloads::QueryTrace::generate(
-        u, 500, 100.0, workloads::Popularity::Uniform, 0.0, 3);
-    ReplayService s;
-    s.scanSeconds = 50e-3; // capacity 20/s << offered 100/s
-    auto stats = replayTraceClosedForm(trace, s, nullptr);
-    EXPECT_GT(stats.p99Seconds, 20 * s.scanSeconds);
-    EXPECT_GT(stats.utilization, 0.95);
-    EXPECT_GT(stats.p99Seconds, stats.p50Seconds);
-}
-
-TEST(TraceReplay, CacheReducesLatencyUnderLocality)
-{
-    auto u = universe();
-    auto trace = workloads::QueryTrace::generate(
-        u, 2000, 50.0, workloads::Popularity::Zipf, 0.8, 4);
-    ReplayService s;
-    s.scanSeconds = 10e-3;
-    s.lookupSeconds = 50e-6;
-    s.hitExtraSeconds = 20e-6;
-
-    auto uncached = replayTraceClosedForm(trace, s, nullptr);
-
-    QueryCacheConfig cfg;
-    cfg.capacity = 100;
-    cfg.threshold = 0.12;
-    cfg.qcnAccuracy = 0.97;
-    QueryCache cache(cfg, [&u](std::uint64_t a, std::uint64_t b) {
-        return u.qcnScore(a, b);
-    });
-    auto cached = replayTraceClosedForm(trace, s, &cache);
-
-    EXPECT_LT(cached.missRate, 0.9);
-    EXPECT_LT(cached.meanSeconds, uncached.meanSeconds);
-    EXPECT_LT(cached.utilization, uncached.utilization);
-}
-
-namespace engine_replay {
 
 nn::ModelBundle
 dotModel(std::int64_t dim)
@@ -132,11 +55,8 @@ struct EngineRig
     }
 };
 
-} // namespace engine_replay
-
 TEST(TraceReplay, EngineReplayCompletesEveryQuery)
 {
-    using engine_replay::EngineRig;
     auto u = universe();
     EngineRig rig;
     auto trace = workloads::QueryTrace::generate(
@@ -157,7 +77,6 @@ TEST(TraceReplay, EngineReplayOverlapBeatsSerialService)
     // A burst of same-database queries overlaps on the accelerator
     // complex: throughput clears 2x what serial service of the
     // single-query latency would allow.
-    using engine_replay::EngineRig;
     auto u = universe();
     EngineRig rig;
 
@@ -183,11 +102,10 @@ TEST(TraceReplay, EngineReplayOverlapBeatsSerialService)
 
 TEST(TraceReplay, EngineReplayUsesTheEngineQueryCache)
 {
-    using engine_replay::EngineRig;
     auto u = universe();
     EngineRig rig;
     std::uint64_t qcn = rig.ds.loadModel(
-        engine_replay::dotModel(EngineRig::kDim));
+        dotModel(EngineRig::kDim));
     rig.ds.setQC(qcn, 0.25, 0.99, 16);
 
     // Ten distinct queries, each repeated once: repeats hit.
@@ -206,7 +124,6 @@ TEST(TraceReplay, EngineReplayUsesTheEngineQueryCache)
 
 TEST(TraceReplay, EngineReplayValidatesConfig)
 {
-    using engine_replay::EngineRig;
     auto u = universe();
     EngineRig rig;
     workloads::QueryTrace trace(std::vector<workloads::TraceRecord>{
@@ -224,11 +141,10 @@ TEST(TraceReplay, EngineReplayValidatesConfig)
 TEST(TraceReplay, PercentilesAreOrdered)
 {
     auto u = universe();
+    EngineRig rig;
     auto trace = workloads::QueryTrace::generate(
         u, 1000, 30.0, workloads::Popularity::Zipf, 0.7, 5);
-    ReplayService s;
-    s.scanSeconds = 20e-3;
-    auto stats = replayTraceClosedForm(trace, s, nullptr);
+    auto stats = replayTrace(rig.ds, trace, rig.config(u));
     EXPECT_LE(stats.p50Seconds, stats.p95Seconds);
     EXPECT_LE(stats.p95Seconds, stats.p99Seconds);
     EXPECT_LE(stats.p99Seconds, stats.maxSeconds);

@@ -50,7 +50,7 @@ TEST(EndToEnd, SsdSurvivesWriteTrimChurn)
               dev.ftl().superblockCount());
     EXPECT_EQ(dev.ftl().totalErases(), 10u);
     EXPECT_LE(dev.ftl().eraseSpread(), 2u);
-    EXPECT_GT(dev.stats().find("flash.blockErases")->value(), 0.0);
+    EXPECT_GT(dev.stats().find(StatId::FlashBlockErases)->value(), 0.0);
 }
 
 TEST(EndToEnd, TrimWithoutFullInvalidationCompletesFast)
@@ -170,7 +170,7 @@ TEST(EndToEnd, RetryInjectionSurfacesInHostReads)
     ev_clean.run();
     ev_faulty.run();
     EXPECT_GT(ticksToSeconds(d1 - t1), ticksToSeconds(d0 - t0));
-    EXPECT_GT(injected.stats().find("flash.readRetries")->value(),
+    EXPECT_GT(injected.stats().find(StatId::FlashReadRetries)->value(),
               0.0);
 }
 

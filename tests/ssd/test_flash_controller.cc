@@ -214,8 +214,8 @@ TEST(FlashController, CountsStats)
     cmd.transferBytes = 2048;
     ctrl.issue(std::move(cmd));
     f.events.run();
-    EXPECT_DOUBLE_EQ(stats.find("flash.pageReads")->value(), 1.0);
-    EXPECT_DOUBLE_EQ(stats.find("flash.readBytes")->value(), 2048.0);
+    EXPECT_DOUBLE_EQ(stats.find(StatId::FlashPageReads)->value(), 1.0);
+    EXPECT_DOUBLE_EQ(stats.find(StatId::FlashReadBytes)->value(), 2048.0);
 }
 
 TEST(FlashController, EstimateMatchesActualForRetryLadderPages)
@@ -297,7 +297,7 @@ TEST(FlashController, EstimateMatchesActualUnderInjection)
         }
     }
     EXPECT_GT(uncorrectable, 0);
-    EXPECT_GT(f.stats.find("flash.uncorrectableReads")->value(), 0.0);
+    EXPECT_GT(f.stats.find(StatId::FlashUncorrectableReads)->value(), 0.0);
 }
 
 TEST(FlashController, UncorrectableReadSkipsTheBusTransfer)
@@ -327,8 +327,8 @@ TEST(FlashController, UncorrectableReadSkipsTheBusTransfer)
     EXPECT_EQ(done, secondsToTicks(p.readLatency *
                                    (1.0 + p.readRetryPenalty)));
     EXPECT_DOUBLE_EQ(
-        f.stats.find("flash.uncorrectableReads")->value(), 1.0);
-    EXPECT_EQ(f.stats.find("flash.readBytes"), nullptr);
+        f.stats.find(StatId::FlashUncorrectableReads)->value(), 1.0);
+    EXPECT_EQ(f.stats.find(StatId::FlashReadBytes), nullptr);
 }
 
 } // namespace

@@ -695,35 +695,16 @@ class LintD11 : public ::testing::Test
     fs::path root_;
 };
 
-TEST_F(LintD11, UnregisteredGetIsAFinding)
-{
-    write("src/common/stats_schema.h",
-          "DS_STAT(\"engine.queries\", \"queries issued\")\n");
-    write("src/core/engine.cc",
-          "void dump(StatGroup &stats) {\n"
-          "    stats.get(\"engine.queries\") += 1;\n"
-          "    stats.get(\"engine.misses\") += 1;\n"
-          "}\n");
-    Report r = lint();
-    ASSERT_EQ(r.findings.size(), 1u) << formatReport(r, true);
-    EXPECT_EQ(r.findings[0].rule, "D11");
-    EXPECT_EQ(r.findings[0].file, "src/core/engine.cc");
-    EXPECT_EQ(r.findings[0].line, 3);
-    EXPECT_NE(r.findings[0].message.find("engine.misses"),
-              std::string::npos);
-    EXPECT_NE(r.findings[0].message.find("not registered"),
-              std::string::npos);
-}
-
 TEST_F(LintD11, ManualRowAgainstDsStatRegistrationIsAFinding)
 {
     // The guarded-row idiom is first-class: a row printed by hand
     // must be registered as DS_STAT_ROW, not DS_STAT.
     write("src/common/stats_schema.h",
-          "DS_STAT(\"array.nodes\", \"node count\")\n");
+          "DS_STAT(ArrayNodes, \"array.nodes\", \"node count\")\n");
     write("src/core/coord.cc",
-          "void dump(std::ostream &os, int n) {\n"
+          "void dump(std::ostream &os, StatGroup &stats, int n) {\n"
           "    os << \"array.nodes = \" << n << \"\\n\";\n"
+          "    stats.get(StatId::ArrayNodes).set(n);\n"
           "}\n");
     Report r = lint();
     ASSERT_EQ(r.findings.size(), 1u) << formatReport(r, true);
@@ -735,12 +716,14 @@ TEST_F(LintD11, ManualRowAgainstDsStatRegistrationIsAFinding)
 
 TEST_F(LintD11, StaleSchemaEntryIsAFindingAtItsDeclaration)
 {
+    // A DS_STAT is referenced by its identifier as a whole word:
+    // `EngineQueries` does not count as a use of `Engine`.
     write("src/common/stats_schema.h",
-          "DS_STAT(\"engine.queries\", \"queries issued\")\n"
-          "DS_STAT(\"engine.orphan\", \"never referenced\")\n");
+          "DS_STAT(EngineQueries, \"engine.queries\", \"issued\")\n"
+          "DS_STAT(Engine, \"engine.orphan\", \"never referenced\")\n");
     write("src/core/engine.cc",
           "void bump(StatGroup &stats) {\n"
-          "    stats.get(\"engine.queries\") += 1;\n"
+          "    stats.get(StatId::EngineQueries) += 1;\n"
           "}\n");
     Report r = lint();
     ASSERT_EQ(r.findings.size(), 1u) << formatReport(r, true);
@@ -751,19 +734,19 @@ TEST_F(LintD11, StaleSchemaEntryIsAFindingAtItsDeclaration)
               std::string::npos);
 }
 
-TEST_F(LintD11, RegisteredGetAndGuardedRowAreClean)
+TEST_F(LintD11, ReferencedStatIdsAndGuardedRowAreClean)
 {
-    // A dynamically-composed name (ternary between two literals)
-    // still counts as a reference: the stale scan is a substring
-    // match over literal-preserving strips.
+    // A counter picked at run time (a ternary between two ids) still
+    // references both entries.
     write("src/common/stats_schema.h",
-          "DS_STAT(\"sched.kills\", \"events cancelled\")\n"
-          "DS_STAT(\"sched.drops\", \"events dropped\")\n"
+          "DS_STAT(SchedKills, \"sched.kills\", \"events cancelled\")\n"
+          "DS_STAT(SchedDrops, \"sched.drops\", \"events dropped\")\n"
           "DS_STAT_ROW(\"array.scrub.pages\", \"when scrubbing\")\n");
     write("src/core/engine.cc",
           "void dump(StatGroup &stats, std::ostream &os, bool k,\n"
           "          long pages) {\n"
-          "    stats.get(k ? \"sched.kills\" : \"sched.drops\")++;\n"
+          "    stats.get(k ? StatId::SchedKills : StatId::SchedDrops)"
+          " += 1;\n"
           "    if (pages)\n"
           "        os << \"array.scrub.pages = \" << pages;\n"
           "}\n");
@@ -774,12 +757,12 @@ TEST_F(LintD11, RegisteredGetAndGuardedRowAreClean)
 TEST_F(LintD11, StaleEntryCanBeSuppressedWithAReason)
 {
     write("src/common/stats_schema.h",
-          "DS_STAT(\"engine.queries\", \"queries issued\")\n"
+          "DS_STAT(EngineQueries, \"engine.queries\", \"issued\")\n"
           "// lint:allow(D11: reserved for the recovery PR)\n"
-          "DS_STAT(\"repair.future\", \"not wired up yet\")\n");
+          "DS_STAT(RepairFuture, \"repair.future\", \"not wired up\")\n");
     write("src/core/engine.cc",
           "void bump(StatGroup &stats) {\n"
-          "    stats.get(\"engine.queries\") += 1;\n"
+          "    stats.get(StatId::EngineQueries) += 1;\n"
           "}\n");
     Report r = lint();
     EXPECT_TRUE(r.clean()) << formatReport(r, true);

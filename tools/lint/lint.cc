@@ -1606,12 +1606,15 @@ lintTree(const std::string &root, const Options &opts)
     }
 
     // ---- D11: stats schema completeness -------------------------
+    // StatGroup counters are typed StatIds generated from the schema,
+    // so the compiler already rejects an unregistered counter. What
+    // it cannot see are rows printed by hand and entries nothing uses.
     if (opts.enabled("D11")) {
         const std::string schema_rel = "src/common/stats_schema.h";
         struct SchemaEntry
         {
             int line = 0;
-            bool row = false;
+            std::string id; ///< DS_STAT identifier; empty for rows
         };
         std::map<std::string, SchemaEntry> schema;
         std::string schema_text;
@@ -1619,7 +1622,8 @@ lintTree(const std::string &root, const Options &opts)
             if (rel == schema_rel)
                 schema_text = text;
         static const std::regex kEntry(
-            R"(\bDS_STAT(_ROW)?\s*\(\s*"([^"]+)\")");
+            R"(\bDS_STAT(?:\s*\(\s*([A-Za-z_]\w*)\s*,|_ROW\s*\())"
+            R"(\s*"([^"]+)\")");
         for (auto it = std::sregex_iterator(schema_text.begin(),
                                             schema_text.end(),
                                             kEntry);
@@ -1628,50 +1632,20 @@ lintTree(const std::string &root, const Options &opts)
             e.line = lineOfOffset(schema_text,
                                   static_cast<std::size_t>(
                                       it->position(0)));
-            e.row = (*it)[1].matched;
+            e.id = (*it)[1];
             schema[(*it)[2]] = e;
         }
 
-        // Literal-preserving strips of every src/ file (the stat
-        // names live inside string literals).
+        // Literal-preserving strips of every src/ file (row names
+        // live inside string literals).
         std::vector<std::pair<std::string, StrippedSource>> kept;
         for (const auto &[rel, text] : contents)
             if (rel.rfind("src/", 0) == 0 && rel != schema_rel)
                 kept.emplace_back(rel, stripSource(text, true));
 
-        static const std::regex kGet(
-            R"([.>]\s*get\s*\(\s*"([^"]+)\")");
         static const std::regex kRow(
             R"(<<\s*"\s*([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)+)\s*=)");
         for (const auto &[rel, src] : kept) {
-            for (auto it = std::sregex_iterator(src.code.begin(),
-                                                src.code.end(),
-                                                kGet);
-                 it != std::sregex_iterator(); ++it) {
-                std::string name = (*it)[1];
-                int line = lineOfOffset(
-                    src.code,
-                    static_cast<std::size_t>(it->position(0)));
-                auto s = schema.find(name);
-                if (s == schema.end()) {
-                    emitFinding(
-                        report, src, rel, "D11", line,
-                        "stat `" + name +
-                            "` is bumped via StatGroup::get but "
-                            "not registered in " +
-                            schema_rel + "; add DS_STAT(\"" + name +
-                            "\", \"<what it counts>\") so the "
-                            "stats surface stays complete");
-                } else if (s->second.row) {
-                    emitFinding(
-                        report, src, rel, "D11", line,
-                        "stat `" + name +
-                            "` is registered as DS_STAT_ROW (a "
-                            "manually printed row) but used via "
-                            "StatGroup::get; register it as "
-                            "DS_STAT");
-                }
-            }
             for (auto it = std::sregex_iterator(src.code.begin(),
                                                 src.code.end(),
                                                 kRow);
@@ -1690,7 +1664,7 @@ lintTree(const std::string &root, const Options &opts)
                             "first-class: add DS_STAT_ROW(\"" +
                             name +
                             "\", \"<when the row appears>\")");
-                } else if (!s->second.row) {
+                } else if (!s->second.id.empty()) {
                     emitFinding(
                         report, src, rel, "D11", line,
                         "stat `" + name +
@@ -1701,30 +1675,41 @@ lintTree(const std::string &root, const Options &opts)
                 }
             }
         }
-        // Stale entries: a registered name no src/ file references
-        // (the search is a substring match over literal-preserving
-        // code, so dynamically composed names — e.g. a ternary
-        // picking between two literals — still count).
-        if (!schema.empty()) {
-            StrippedSource schema_src =
-                stripSource(schema_text, true);
-            for (const auto &[name, entry] : schema) {
-                bool referenced = false;
-                for (const auto &[rel, src] : kept) {
-                    if (src.code.find(name) != std::string::npos) {
-                        referenced = true;
-                        break;
-                    }
+        // Stale entries: a DS_STAT whose identifier, or a
+        // DS_STAT_ROW whose name, no src/ file mentions as a whole
+        // word.
+        auto mentions = [](const std::string &code,
+                           const std::string &word) {
+            auto ident = [&](std::size_t i) {
+                return i < code.size() &&
+                       (std::isalnum(static_cast<unsigned char>(
+                            code[i])) ||
+                        code[i] == '_');
+            };
+            for (std::size_t p = code.find(word);
+                 p != std::string::npos; p = code.find(word, p + 1)) {
+                if (!(p > 0 && ident(p - 1)) && !ident(p + word.size()))
+                    return true;
+            }
+            return false;
+        };
+        StrippedSource schema_src = stripSource(schema_text, true);
+        for (const auto &[name, entry] : schema) {
+            const std::string &word = entry.id.empty() ? name : entry.id;
+            bool referenced = false;
+            for (const auto &[rel, src] : kept) {
+                if (mentions(src.code, word)) {
+                    referenced = true;
+                    break;
                 }
-                if (!referenced) {
-                    emitFinding(
-                        report, schema_src, schema_rel, "D11",
-                        entry.line,
-                        "registered stat `" + name +
-                            "` is referenced nowhere under src/ — "
-                            "stale schema entry (remove it, or "
-                            "wire up the counter)");
-                }
+            }
+            if (!referenced) {
+                emitFinding(
+                    report, schema_src, schema_rel, "D11", entry.line,
+                    "registered stat `" + name +
+                        "` is referenced nowhere under src/ — stale "
+                        "schema entry (remove it, or wire up the "
+                        "counter)");
             }
         }
     }

@@ -73,14 +73,15 @@
  *       breaks bit-identical replays even where D4 was judged
  *       harmless. A D4 `lint:ordered-ok` does NOT cover it; a
  *       deliberate escape needs `lint:allow(D10: ...)`.
- *   D11 structural stats completeness: every stat name used with
- *       `StatGroup::get("...")` under src/ is registered in
- *       src/common/stats_schema.h (DS_STAT), every manually printed
- *       `os << "name = ..."` stat row is registered as DS_STAT_ROW
- *       (the first-class form of the guarded-row idiom — the entry
- *       documents when the row appears), and every registered name
- *       is still referenced somewhere in src/ (no stale schema
- *       entries).
+ *   D11 structural stats completeness: every manually printed
+ *       `os << "name = ..."` stat row under src/ is registered in
+ *       src/common/stats_schema.h as DS_STAT_ROW (the first-class
+ *       form of the guarded-row idiom — the entry documents when the
+ *       row appears), and no schema entry is stale: each DS_STAT
+ *       identifier and DS_STAT_ROW name is still mentioned somewhere
+ *       in src/. StatGroup counters need no name check — they are
+ *       typed StatIds generated from the schema, so an unregistered
+ *       counter does not compile.
  *   D12 dangling event captures: schedule()/scheduleAfter()/
  *       scheduleChain()/schedulePeriodic() lambdas under src/ that
  *       capture by reference (`[&]`, `[&x]`). The callback outlives
