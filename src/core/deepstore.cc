@@ -61,34 +61,15 @@ DeepStore::writePagesTimedOn(SsdNode &node, std::uint64_t lpn_start,
                              TimeComponent component)
 {
     DS_ASSERT(pages > 0);
-    if (pages <= config_.eventSimPageLimit) {
-        Tick start = events_.now();
-        bool done = false;
-        node.hostWrite(lpn_start, pages,
-                       [&done](Tick) { done = true; });
-        // Step (not run): in-flight queries keep making progress
-        // inside the window, and the clock stops exactly at the
-        // write's completion tick.
-        stepUntil(done);
-        ledger_.attribute(ticksToSeconds(events_.now() - start),
-                          component);
-        return;
-    }
-    // Closed form: programs overlap across every plane; the channel
-    // buses carry one full page each. Still register the mapping.
-    for (std::uint64_t i = 0; i < pages; ++i)
-        node.registerWrite(lpn_start + i);
-    const auto &p = node.flash();
-    double planes =
-        static_cast<double>(p.channels) * p.chipsPerChannel *
-        p.planesPerChip;
-    double program_rate = planes / p.programLatency; // pages/s
-    double bus_rate = p.internalBandwidth() /
-                      static_cast<double>(p.pageBytes);
-    // lint:allow(D6: host bulk-ingest fast path, not the scan datapath)
-    ledger_.advance(static_cast<double>(pages) /
-                        std::min(program_rate, bus_rate),
-                    component);
+    Tick start = events_.now();
+    bool done = false;
+    node.hostWrite(lpn_start, pages, [&done](Tick) { done = true; });
+    // Step (not run): in-flight queries keep making progress inside
+    // the window, and the clock stops exactly at the write's
+    // completion tick.
+    stepUntil(done);
+    ledger_.attribute(ticksToSeconds(events_.now() - start),
+                      component);
 }
 
 std::uint64_t
@@ -164,10 +145,7 @@ DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
     // Timing: read the covering pages of every overlapped shard over
     // the host interface (nodes serve their segments concurrently).
     auto segs = array_->readSegments(db_id, start, num);
-    std::uint64_t pages = 0;
-    for (const auto &seg : segs)
-        pages += seg.pages;
-    if (pages > 0 && pages <= config_.eventSimPageLimit) {
+    if (!segs.empty()) {
         Tick t0 = events_.now();
         bool done = false;
         std::size_t remaining = segs.size();
@@ -181,15 +159,6 @@ DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
         stepUntil(done);
         ledger_.attribute(ticksToSeconds(events_.now() - t0),
                           TimeComponent::HostRead);
-    } else if (pages > 0) {
-        std::uint64_t bytes = 0;
-        for (const auto &seg : segs)
-            bytes += seg.pages *
-                     array_->node(seg.node).flash().pageBytes;
-        // lint:allow(D6: host bulk-read fast path, not the scan datapath)
-        ledger_.advance(static_cast<double>(bytes) /
-                            config_.flash.externalBandwidth,
-                        TimeComponent::HostRead);
     }
 
     const auto &src = sources_.at(db_id);
@@ -872,26 +841,35 @@ DeepStore::getResults(std::uint64_t query_id) const
 }
 
 CompositeFeatureSource::CompositeFeatureSource(
-    std::shared_ptr<FeatureSource> first,
-    std::shared_ptr<FeatureSource> second)
-    : first_(std::move(first)), second_(std::move(second))
+    const std::shared_ptr<FeatureSource> &base,
+    std::shared_ptr<FeatureSource> tail)
 {
-    DS_ASSERT(first_ && second_);
-    DS_ASSERT(first_->dim() == second_->dim());
+    DS_ASSERT(base && tail);
+    DS_ASSERT(base->dim() == tail->dim());
+    if (const auto *c =
+            dynamic_cast<const CompositeFeatureSource *>(base.get())) {
+        parts_ = c->parts_;
+        ends_ = c->ends_;
+    } else {
+        add(base);
+    }
+    add(std::move(tail));
 }
 
-std::uint64_t
-CompositeFeatureSource::count() const
+void
+CompositeFeatureSource::add(std::shared_ptr<FeatureSource> part)
 {
-    return first_->count() + second_->count();
+    ends_.push_back((ends_.empty() ? 0 : ends_.back()) + part->count());
+    parts_.push_back(std::move(part));
 }
 
 std::vector<float>
 CompositeFeatureSource::featureAt(std::uint64_t index) const
 {
-    if (index < first_->count())
-        return first_->featureAt(index);
-    return second_->featureAt(index - first_->count());
+    DS_ASSERT(index < count());
+    const auto it = std::upper_bound(ends_.begin(), ends_.end(), index);
+    const auto i = static_cast<std::size_t>(it - ends_.begin());
+    return parts_[i]->featureAt(index - (i ? ends_[i - 1] : 0));
 }
 
 } // namespace deepstore::core

@@ -56,9 +56,6 @@ struct DeepStoreConfig
     /** Default accelerator level for queries (channel level is the
      *  paper's recommended design). */
     Level defaultLevel = Level::ChannelLevel;
-    /** Page-count threshold above which database writes/reads use the
-     *  closed-form timing instead of per-page events. */
-    std::uint64_t eventSimPageLimit = 65536;
     /** Max concurrent scan shards per accelerator unit (the
      *  interleaving degree of the async scheduler). */
     std::uint32_t maxResidentScansPerAccelerator = 8;
@@ -420,20 +417,31 @@ class DeepStore
     std::uint64_t nextQueryId_ = 1;
 };
 
-/** Concatenation of two feature sources (appendDB support). */
+/**
+ * Concatenation of feature sources (appendDB support). The part list
+ * is flat: appending to a composite copies its parts rather than
+ * nesting it, so count() is O(1) and featureAt() one binary search
+ * however many appends the database has seen. Parts are immutable
+ * and shared, so a query keeps the snapshot it captured.
+ */
 class CompositeFeatureSource : public FeatureSource
 {
   public:
-    CompositeFeatureSource(std::shared_ptr<FeatureSource> first,
-                           std::shared_ptr<FeatureSource> second);
+    /** `base` (its parts, if it is itself a composite) followed by
+     *  `tail`. */
+    CompositeFeatureSource(const std::shared_ptr<FeatureSource> &base,
+                           std::shared_ptr<FeatureSource> tail);
 
-    std::uint64_t count() const override;
-    std::int64_t dim() const override { return first_->dim(); }
+    std::uint64_t count() const override { return ends_.back(); }
+    std::int64_t dim() const override { return parts_.front()->dim(); }
     std::vector<float> featureAt(std::uint64_t index) const override;
 
   private:
-    std::shared_ptr<FeatureSource> first_;
-    std::shared_ptr<FeatureSource> second_;
+    void add(std::shared_ptr<FeatureSource> part);
+
+    std::vector<std::shared_ptr<FeatureSource>> parts_;
+    /** ends_[i]: one past the last feature index of parts_[i]. */
+    std::vector<std::uint64_t> ends_;
 };
 
 } // namespace deepstore::core

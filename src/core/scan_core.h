@@ -37,11 +37,9 @@
  * the burst barrier holds, and the DfvStream records real
  * backpressure on flash delivery.
  *
- * Both the live query scheduler (one GroupScan per co-resident
- * same-database scan group per accelerator unit) and the standalone
- * AccelPipeline (a single-member group) are built on this type, so
- * the two paths agree tick-for-tick by construction — the
- * cross-validation the test suite asserts.
+ * The live query scheduler runs one GroupScan per co-resident
+ * same-database scan group per accelerator unit; it is the only
+ * driver of this type.
  */
 
 #ifndef DEEPSTORE_CORE_SCAN_CORE_H
@@ -262,15 +260,6 @@ class GroupScan
 
     // ---- run statistics ------------------------------------------
 
-    /** Ticks the group waited on flash with the array willing. */
-    Tick starvedTicks() const { return starvedTicks_; }
-
-    /** Ticks compute waited on the slot weight feed. */
-    Tick weightStallTicks() const { return weightStallTicks_; }
-
-    /** Ticks of array time this group's runs reserved. */
-    Tick computeBusyTicks() const { return computeBusyTicks_; }
-
     /** Current contention counters (also handed to onMemberDone). */
     ScanGroupSnapshot snapshot() const;
 
@@ -319,7 +308,6 @@ class GroupScan
     Tick idleSince_ = 0;
     Tick starvedTicks_ = 0;
     Tick weightStallTicks_ = 0;
-    Tick computeBusyTicks_ = 0;
 };
 
 } // namespace deepstore::core

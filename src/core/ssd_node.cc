@@ -96,12 +96,6 @@ SsdNode::translate(std::uint64_t lpn)
 }
 
 void
-SsdNode::registerWrite(std::uint64_t lpn)
-{
-    ssd_->ftl().write(lpn);
-}
-
-void
 SsdNode::trimPages(std::uint64_t lpn_start, std::uint64_t pages)
 {
     ssd_->ftl().trim(lpn_start, pages);

@@ -114,10 +114,6 @@ class SsdNode
 
     std::uint64_t translate(std::uint64_t lpn);
 
-    /** Register a host write in the mapping without simulating the
-     *  program (the closed-form bulk-ingest fast path). */
-    void registerWrite(std::uint64_t lpn);
-
     void trimPages(std::uint64_t lpn_start, std::uint64_t pages);
 
     std::uint64_t mappingEpoch() const;

@@ -170,6 +170,39 @@ TEST(DeepStoreApi, AppendDbGrowsAndInvalidatesQc)
         FatalError);
 }
 
+TEST(DeepStoreApi, ManyAppendsReadBackAsOneConcatenation)
+{
+    // 64 appends of small generated parts: a readDB window across
+    // every part boundary, and one over the whole database, return
+    // exactly the concatenation of the parts in order.
+    DeepStore ds(smallConfig());
+    const std::int64_t dim = 8;
+    auto part = [&](std::uint64_t i) {
+        return randomDb(dim, 3 + i % 5, 100 + i);
+    };
+    std::vector<std::vector<float>> expected;
+    std::vector<std::uint64_t> boundaries;
+    std::uint64_t db = 0;
+    for (std::uint64_t i = 0; i <= 64; ++i) {
+        auto src = part(i);
+        if (i == 0) {
+            db = ds.writeDB(src);
+        } else {
+            boundaries.push_back(expected.size());
+            ds.appendDB(db, src);
+        }
+        for (std::uint64_t j = 0; j < src->count(); ++j)
+            expected.push_back(src->featureAt(j));
+    }
+    ASSERT_EQ(ds.databaseInfo(db).numFeatures, expected.size());
+    for (std::uint64_t b : boundaries) {
+        auto got = ds.readDB(db, b - 2, 4);
+        for (std::uint64_t k = 0; k < 4; ++k)
+            EXPECT_EQ(got[k], expected[b - 2 + k]) << "boundary " << b;
+    }
+    EXPECT_EQ(ds.readDB(db, 0, expected.size()), expected);
+}
+
 TEST(DeepStoreApi, QueryCacheHitReturnsCachedTopK)
 {
     DeepStore ds(smallConfig());
@@ -213,6 +246,31 @@ TEST(DeepStoreApi, ObjectIdsAreValidPpns)
                   md.featurePpn(r.featureId,
                                 ds.model().flash().pageBytes));
     }
+}
+
+TEST(DeepStoreApi, LargeWriteProgramsEveryPageThroughTheFtl)
+{
+    // 70,000 one-page features (dim 4096 = 16 KiB): every page is a
+    // real flash program through the FTL, and the host-write time
+    // the ledger attributes is exactly the simulated time the write
+    // took.
+    DeepStore ds(smallConfig());
+    const std::uint64_t features = 70000;
+    const Tick start = ds.events().now();
+    ds.writeDB(randomDb(4096, features, 17));
+    const double elapsed = ticksToSeconds(ds.events().now() - start);
+    auto stat = [&ds](StatId id) {
+        const Stat *s = ds.array().node(0).stats().find(id);
+        return s ? s->value() : 0.0;
+    };
+    EXPECT_EQ(stat(StatId::FlashPagePrograms),
+              static_cast<double>(features));
+    EXPECT_EQ(stat(StatId::FtlPageWrites),
+              static_cast<double>(features));
+    EXPECT_GT(elapsed, 0.0);
+    EXPECT_DOUBLE_EQ(
+        ds.ledger().componentSeconds(TimeComponent::HostWrite),
+        elapsed);
 }
 
 TEST(DeepStoreApi, LoadModelChargesUploadTime)
