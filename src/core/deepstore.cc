@@ -303,6 +303,57 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
     }
 
     const LoadedModel *mp = &m;
+    if (queryCache_ && hit.hit) {
+        // Cached features already sit in SSD DRAM, so the hit path
+        // rescores them on one channel-level accelerator of the home
+        // node: a DRAM pull of the cached vectors plus the SCN burst
+        // (§4.2). No scatter and no flash leg — the array submits a
+        // single sub-query on the node scatter() would make home, or
+        // on a surviving node when every overlapping shard is lost.
+        LevelPerf compute_perf = model_.evaluateModel(
+            Level::ChannelLevel, m.bundle.model, db.featureBytes);
+        auto target = array_->homeTarget(db_id, db_start, db_end);
+        const std::uint32_t node_i =
+            target ? target->node : array_->homeNodeFor(db_id, db_start);
+        QuerySubmission sub;
+        sub.queryId = qid;
+        sub.level = level;
+        sub.dbKey = db_id;
+        sub.deadlineSeconds = deadline_seconds;
+        sub.probeUnits = probe_units;
+        sub.probeComputeTicksPerUnit = probe_ticks;
+        sub.probeDramBytesPerUnit = probe_bytes;
+        sub.cacheHit = true;
+        sub.hitComputeTicks =
+            sim::Clock(compute_perf.placement.array.frequencyHz)
+                .cyclesToTicks(compute_perf.modelRun.totalCycles() *
+                               hit.cachedResults.size());
+        sub.hitDramBytes = hit.cachedResults.size() * db.featureBytes;
+        auto cached = std::move(hit.cachedResults);
+        std::vector<float> q = qfv;
+        auto done = [this, qid, k, mp, source, cached,
+                     q = std::move(q)](const ArrayQueryStats &ast) {
+            QueryResult res = arrayResult(qid, true, ast,
+                                          TimeComponent::CacheHit);
+            if (res.outcome == QueryOutcome::Success) {
+                res.featuresScanned = cached.size();
+                // Re-run the SCN on only the cached top-K features.
+                TopK topk(std::max<std::size_t>(k, 1));
+                for (const auto &c : cached) {
+                    auto dfv = source->featureAt(c.featureId);
+                    float s = mp->executor->score(q, dfv);
+                    topk.insert(
+                        ScoredResult{c.featureId, c.objectId, s});
+                }
+                res.topK = topk.results();
+            }
+            finishQuery(qid, std::move(res));
+        };
+        array_->submitSingle(qid, node_i, std::move(sub),
+                             std::move(done));
+        return qid;
+    }
+
     // Builds one shard's sub-query submission. Captures by value
     // only: the coordinator keeps this builder and re-invokes it at
     // later ticks when a node death re-stripes the shard onto a
@@ -358,83 +409,6 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         return s;
     };
 
-    if (queryCache_ && hit.hit) {
-        // Cached features already sit in SSD DRAM, so the hit path
-        // rescores them on one channel-level accelerator of the home
-        // node: a DRAM pull of the cached vectors plus the SCN burst
-        // (§4.2). No scatter — the array submits a single sub-query.
-        LevelPerf compute_perf = model_.evaluateModel(
-            Level::ChannelLevel, m.bundle.model, db.featureBytes);
-        auto target = array_->homeTarget(db_id, db_start, db_end);
-        std::uint32_t node_i;
-        QuerySubmission sub;
-        if (target) {
-            node_i = target->node;
-            sub = builder(*target, qid);
-        } else {
-            // Every overlapping shard lost its last replica: the hit
-            // still rescores from DRAM on a surviving node, with no
-            // flash leg.
-            node_i = array_->homeNodeFor(db_id, db_start);
-            sub.queryId = qid;
-            sub.level = level;
-            sub.numAccelerators = perf.placement.numAccelerators;
-            sub.dbKey = db_id;
-            sub.probeUnits = probe_units;
-            sub.probeComputeTicksPerUnit = probe_ticks;
-            sub.probeDramBytesPerUnit = probe_bytes;
-        }
-        sub.cacheHit = true;
-        sub.hitComputeTicks =
-            sim::Clock(compute_perf.placement.array.frequencyHz)
-                .cyclesToTicks(compute_perf.modelRun.totalCycles() *
-                               hit.cachedResults.size());
-        sub.hitDramBytes = hit.cachedResults.size() * db.featureBytes;
-        auto cached = std::move(hit.cachedResults);
-        std::vector<float> q = qfv;
-        auto done = [this, qid, k, mp, source, cached,
-                     q = std::move(q)](const ArrayQueryStats &ast) {
-            QueryResult res;
-            res.queryId = qid;
-            res.cacheHit = true;
-            res.outcome = ast.outcome;
-            res.coverageFraction = ast.coverageFraction;
-            if (res.outcome == QueryOutcome::Success) {
-                res.featuresScanned = cached.size();
-                // Re-run the SCN on only the cached top-K features.
-                TopK topk(std::max<std::size_t>(k, 1));
-                for (const auto &c : cached) {
-                    auto dfv = source->featureAt(c.featureId);
-                    float s = mp->executor->score(q, dfv);
-                    topk.insert(
-                        ScoredResult{c.featureId, c.objectId, s});
-                }
-                res.topK = topk.results();
-            }
-            res.latencySeconds =
-                ticksToSeconds(ast.completeTick - ast.submitTick);
-            const double probe_s = ticksToSeconds(ast.run.probeTicks);
-            res.qcProbeSeconds = probe_s;
-            res.computeStallSeconds =
-                ticksToSeconds(ast.run.computeStallTicks);
-            res.backpressureSeconds =
-                ticksToSeconds(ast.run.backpressureTicks);
-            res.nocWaitSeconds = ticksToSeconds(ast.nocWaitTicks);
-            res.mergeSeconds = ticksToSeconds(ast.mergeTicks);
-            res.interNodeBytes = ast.interNodeBytes;
-            res.nodesParticipating = ast.nodesParticipating;
-            res.redispatches = ast.redispatches;
-            ledger_.attribute(probe_s, TimeComponent::QcLookup);
-            ledger_.attribute(
-                std::max(0.0, res.latencySeconds - probe_s),
-                TimeComponent::CacheHit);
-            finishQuery(qid, std::move(res));
-        };
-        array_->submitSingle(qid, node_i, std::move(sub),
-                             std::move(done));
-        return qid;
-    }
-
     // Miss path: scatter one sub-query per overlapped shard. The
     // scatter leg ships the QFV + descriptor to each remote node;
     // the merge leg ships each remote node's candidate top-K back.
@@ -446,11 +420,8 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
     auto done = [this, qid, this_query, k, mp, dbmd, db_start, db_end,
                  n_accel = perf.placement.numAccelerators, source,
                  q = std::move(q)](const ArrayQueryStats &ast) {
-        QueryResult res;
-        res.queryId = qid;
-        res.cacheHit = false;
-        res.outcome = ast.outcome;
-        res.coverageFraction = ast.coverageFraction;
+        QueryResult res =
+            arrayResult(qid, false, ast, TimeComponent::Scan);
         // Degraded queries report the top-K over the prefix of the
         // range that was actually scanned; partial results never
         // seed the Query Cache.
@@ -465,28 +436,36 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                          source);
         if (queryCache_ && res.outcome == QueryOutcome::Success)
             queryCache_->insert(this_query, res.topK);
-        res.latencySeconds =
-            ticksToSeconds(ast.completeTick - ast.submitTick);
-        const double probe_s = ticksToSeconds(ast.run.probeTicks);
-        res.qcProbeSeconds = probe_s;
-        res.computeStallSeconds =
-            ticksToSeconds(ast.run.computeStallTicks);
-        res.backpressureSeconds =
-            ticksToSeconds(ast.run.backpressureTicks);
-        res.nocWaitSeconds = ticksToSeconds(ast.nocWaitTicks);
-        res.mergeSeconds = ticksToSeconds(ast.mergeTicks);
-        res.interNodeBytes = ast.interNodeBytes;
-        res.nodesParticipating = ast.nodesParticipating;
-        res.redispatches = ast.redispatches;
-        ledger_.attribute(probe_s, TimeComponent::QcLookup);
-        ledger_.attribute(
-            std::max(0.0, res.latencySeconds - probe_s),
-            TimeComponent::Scan);
         finishQuery(qid, std::move(res));
     };
     array_->scatter(qid, db_id, db_start, db_end, scatter_bytes,
                     merge_bytes, builder, std::move(done));
     return qid;
+}
+
+QueryResult
+DeepStore::arrayResult(std::uint64_t query_id, bool cache_hit,
+                       const ArrayQueryStats &ast, TimeComponent rest)
+{
+    QueryResult res;
+    res.queryId = query_id;
+    res.cacheHit = cache_hit;
+    res.outcome = ast.outcome;
+    res.coverageFraction = ast.coverageFraction;
+    res.latencySeconds =
+        ticksToSeconds(ast.completeTick - ast.submitTick);
+    res.qcProbeSeconds = ticksToSeconds(ast.run.probeTicks);
+    res.computeStallSeconds = ticksToSeconds(ast.run.computeStallTicks);
+    res.backpressureSeconds = ticksToSeconds(ast.run.backpressureTicks);
+    res.nocWaitSeconds = ticksToSeconds(ast.nocWaitTicks);
+    res.mergeSeconds = ticksToSeconds(ast.mergeTicks);
+    res.interNodeBytes = ast.interNodeBytes;
+    res.nodesParticipating = ast.nodesParticipating;
+    res.redispatches = ast.redispatches;
+    ledger_.attribute(res.qcProbeSeconds, TimeComponent::QcLookup);
+    ledger_.attribute(
+        std::max(0.0, res.latencySeconds - res.qcProbeSeconds), rest);
+    return res;
 }
 
 std::uint64_t

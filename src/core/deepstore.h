@@ -361,9 +361,9 @@ class DeepStore
 
     const LoadedModel &lookupModel(std::uint64_t model_id) const;
 
-    /** Simulate writing `pages` pages on one array node and account
-     *  the time on the ledger (event-driven below the page limit,
-     *  closed-form above). */
+    /** Program `pages` pages on one array node through its FTL and
+     *  flash controllers, stepping the event queue until the last
+     *  program completes, and account the time on the ledger. */
     void writePagesTimedOn(SsdNode &node, std::uint64_t lpn_start,
                            std::uint64_t pages,
                            TimeComponent component);
@@ -380,6 +380,14 @@ class DeepStore
              std::uint64_t db_start, std::uint64_t db_end,
              std::uint32_t n_accel,
              const std::shared_ptr<FeatureSource> &source) const;
+
+    /** The result fields both completion paths share (outcome,
+     *  coverage and timing from the array's aggregate), with the
+     *  latency attributed on the ledger: the QC probe to QcLookup,
+     *  the rest to `rest`. */
+    QueryResult arrayResult(std::uint64_t query_id, bool cache_hit,
+                            const ArrayQueryStats &ast,
+                            TimeComponent rest);
 
     void finishQuery(std::uint64_t query_id, QueryResult res);
 

@@ -284,27 +284,6 @@ class QueryScheduler::AcceleratorUnit
     std::size_t waiting() const { return waiting_.size(); }
 
     /**
-     * Estimated tick at which this unit goes idle: the array's
-     * reserved horizon plus the next flash delivery each live group
-     * is waiting for (FlashController::estimateReadCompletion via
-     * DfvStream::nextDeliveryEstimate — the physical load signal).
-     * A lower bound while shards are waiting or streams unfinished.
-     */
-    Tick
-    busyUntilEstimate() const
-    {
-        if (dead_)
-            return 0;
-        Tick t = residents_ > 0 ? arbiter_.busyUntil() : 0;
-        for (const auto &g : groups_) {
-            if (g->finished || !g->stream)
-                continue;
-            t = std::max(t, g->stream->nextDeliveryEstimate());
-        }
-        return t;
-    }
-
-    /**
      * Schedule an auxiliary work item (QC probe share, cache-hit
      * rescore) on this unit: pull `dram_bytes` over the shared DRAM
      * link, then run `compute_ticks` on the array behind whatever
@@ -313,15 +292,13 @@ class QueryScheduler::AcceleratorUnit
      * lost).
      */
     Tick
-    auxWork(Tick compute_ticks, std::uint64_t dram_bytes,
-            sim::BandwidthLink *dram)
+    auxWork(Tick compute_ticks, std::uint64_t dram_bytes)
     {
         const Tick now = events_.now();
         if (dead_)
             return now;
-        const Tick ready = dram && dram_bytes > 0
-                               ? dram->acquire(now, dram_bytes)
-                               : now;
+        const Tick ready =
+            dram_bytes > 0 ? sched_.dram_.acquire(now, dram_bytes) : now;
         return arbiter_.acquire(ready, compute_ticks);
     }
 
@@ -496,7 +473,6 @@ class QueryScheduler::AcceleratorUnit
                 waiting_.pop_front();
                 admit(std::move(req));
             }
-            sched_.updateBusyHorizon();
         });
     }
 
@@ -518,10 +494,10 @@ class QueryScheduler::AcceleratorUnit
 QueryScheduler::QueryScheduler(sim::EventQueue &events,
                                QuerySchedulerConfig config,
                                ssd::DfvStreamService &dfv,
-                               StatGroup *stats)
-    : events_(events), config_(config), dfv_(dfv),
-      injector_(config.faults),
-      stats_(stats ? *stats : ownStats_)
+                               sim::BandwidthLink &dram,
+                               StatGroup &stats)
+    : events_(events), config_(config), dfv_(dfv), dram_(dram),
+      injector_(config.faults), stats_(stats)
 {
     if (config_.maxResidentScans == 0)
         fatal("maxResidentScans must be at least 1");
@@ -612,8 +588,7 @@ QueryScheduler::submit(QuerySubmission submission)
             probe_done = std::max(
                 probe_done,
                 unit->auxWork(q.sub.probeComputeTicksPerUnit,
-                              q.sub.probeDramBytesPerUnit,
-                              config_.dram));
+                              q.sub.probeDramBytesPerUnit));
     }
     q.run.probeTicks = probe_done - events_.now();
     q.state = QueryState::CacheProbe;
@@ -636,16 +611,14 @@ QueryScheduler::submit(QuerySubmission submission)
             if (pit != pools_.end() && !pit->second.empty()) {
                 auto &units = pit->second;
                 done = units[id % units.size()]->auxWork(
-                    qq.sub.hitComputeTicks, qq.sub.hitDramBytes,
-                    config_.dram);
+                    qq.sub.hitComputeTicks, qq.sub.hitDramBytes);
             } else {
                 // Cache configured without probe units: rescore on
                 // the DRAM link alone.
                 const Tick now = events_.now();
                 const Tick ready =
-                    config_.dram && qq.sub.hitDramBytes > 0
-                        ? config_.dram->acquire(
-                              now, qq.sub.hitDramBytes)
+                    qq.sub.hitDramBytes > 0
+                        ? dram_.acquire(now, qq.sub.hitDramBytes)
                         : now;
                 done = ready + qq.sub.hitComputeTicks;
             }
@@ -681,7 +654,7 @@ QueryScheduler::enterStriped(QueryInfo &q)
     std::shared_ptr<WeightStream> broadcast_weights;
     if (q.sub.weightBytesPerSlot > 0 && q.sub.weightBroadcast)
         broadcast_weights = std::make_shared<WeightStream>(
-            config_.dram, q.sub.weightBytesPerSlot);
+            dram_, q.sub.weightBytesPerSlot);
     for (auto &shard : q.sub.shards) {
         DS_ASSERT(shard.unitIndex < units.size());
         const std::uint64_t seq = nextShardSeq_++;
@@ -704,7 +677,7 @@ QueryScheduler::enterStriped(QueryInfo &q)
                 broadcast_weights
                     ? broadcast_weights
                     : std::make_shared<WeightStream>(
-                          config_.dram, q.sub.weightBytesPerSlot);
+                          dram_, q.sub.weightBytesPerSlot);
         req.dbKey = q.sub.dbKey;
         req.baseSignature = q.sub.planSignature;
         req.signature = q.sub.planSignature;
@@ -714,7 +687,6 @@ QueryScheduler::enterStriped(QueryInfo &q)
         units[shard.unitIndex]->join(std::move(req));
     }
     q.state = QueryState::Scanning;
-    updateBusyHorizon();
 }
 
 void
@@ -825,9 +797,8 @@ QueryScheduler::finishShard(QueryInfo &q, std::uint64_t seq)
     const std::uint64_t gather_bytes =
         q.sub.reduceBytesPerShard *
         static_cast<std::uint64_t>(q.shardSeqs.size());
-    const Tick done = config_.dram && gather_bytes > 0
-                          ? config_.dram->acquire(now, gather_bytes)
-                          : now;
+    const Tick done =
+        gather_bytes > 0 ? dram_.acquire(now, gather_bytes) : now;
     q.run.reduceTicks += done - now;
     const std::uint64_t id = q.sub.queryId;
     events_.schedule(done, [this, id] {
@@ -965,18 +936,6 @@ QueryScheduler::chooseUnit(Level level, std::uint32_t exclude)
                 return std::make_pair(*up, i);
     }
     return std::nullopt;
-}
-
-void
-QueryScheduler::updateBusyHorizon()
-{
-    if (!busyHook_)
-        return;
-    Tick horizon = events_.now();
-    for (const auto &[level, units] : pools_)
-        for (const auto &unit : units)
-            horizon = std::max(horizon, unit->busyUntilEstimate());
-    busyHook_(horizon);
 }
 
 std::optional<QueryState>

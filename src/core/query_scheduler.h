@@ -45,8 +45,7 @@
  * accelerators, and the final top-K reduce is a DRAM transfer of the
  * per-shard partials. All DRAM traffic — weights, probe reads, hit
  * rescores, reduce gathers, FTL relocation copies — arbitrates on
- * the one BandwidthLink the engine wires in via
- * QuerySchedulerConfig::dram.
+ * the one BandwidthLink the engine passes to the constructor.
  *
  * Fault tolerance (the shard-level recovery state machine): the
  * FaultConfig schedule can kill whole accelerator units at a tick;
@@ -150,13 +149,6 @@ struct QuerySchedulerConfig
      *  has to fall back a level. 0 = unknown (no fallback possible
      *  unless that pool already exists). */
     std::uint32_t unitsAtLevel[3] = {0, 0, 0};
-
-    /** Shared SSD DRAM channel that weight streams, probe reads,
-     *  hit rescores, and reduce gathers arbitrate on (the engine
-     *  passes the Ssd's link so scans contend with FTL relocation
-     *  copies). nullptr = infinite DRAM bandwidth. Must outlive the
-     *  scheduler. */
-    sim::BandwidthLink *dram = nullptr;
 };
 
 /** Everything the scheduler needs to time one query. The functional
@@ -266,16 +258,18 @@ class QueryScheduler
   public:
     /**
      * @param dfv stream service over the flash controllers that also
-     * serve host I/O (the unified datapath). Must outlive the
-     * scheduler.
+     * serve host I/O (the unified datapath).
+     * @param dram the SSD's shared DRAM channel that weight streams,
+     * probe reads, hit rescores and reduce gathers arbitrate on (so
+     * scans contend with FTL relocation copies).
      * @param stats counter sink for the sched.* fault/recovery
-     * counters (nullptr keeps a private group — counters still
-     * accumulate but are not dumped with the SSD's).
+     * counters (the SSD's group, dumped with it).
+     * All three must outlive the scheduler.
      */
     QueryScheduler(sim::EventQueue &events,
                    QuerySchedulerConfig config,
                    ssd::DfvStreamService &dfv,
-                   StatGroup *stats = nullptr);
+                   sim::BandwidthLink &dram, StatGroup &stats);
     ~QueryScheduler();
 
     QueryScheduler(const QueryScheduler &) = delete;
@@ -346,18 +340,6 @@ class QueryScheduler
      *  unknown ids; partial until the query is terminal). */
     QueryRunStats runStats(std::uint64_t query_id) const;
 
-    /**
-     * Hook invoked whenever the estimated busy-until horizon of the
-     * accelerator complex changes. The estimate is fed by
-     * FlashController::estimateReadCompletion through each live
-     * stream's nextDeliveryEstimate() — the Striped-stage load
-     * estimate of the physical datapath.
-     */
-    void setBusyHook(std::function<void(Tick)> hook)
-    {
-        busyHook_ = std::move(hook);
-    }
-
     /** Scan shards currently resident across all units (occupancy
      *  introspection for stats/benches). */
     std::size_t residentShards() const;
@@ -389,7 +371,6 @@ class QueryScheduler
     void finishShard(QueryInfo &q, std::uint64_t seq);
     void degradeQuery(QueryInfo &q, QueryOutcome outcome);
     void completeQuery(QueryInfo &q, QueryOutcome outcome);
-    void updateBusyHorizon();
     std::vector<std::unique_ptr<AcceleratorUnit>> &
     pool(Level level, std::uint32_t count);
     /** Alive sibling at the same level (excluding `exclude` when
@@ -401,14 +382,13 @@ class QueryScheduler
     sim::EventQueue &events_;
     QuerySchedulerConfig config_;
     ssd::DfvStreamService &dfv_;
+    sim::BandwidthLink &dram_;
     FaultInjector injector_;
-    StatGroup ownStats_;
     StatGroup &stats_;
     std::map<std::uint64_t, QueryInfo> queries_;
     std::map<std::uint64_t, ShardState> shards_;
     std::map<Level, std::vector<std::unique_ptr<AcceleratorUnit>>>
         pools_;
-    std::function<void(Tick)> busyHook_;
     std::size_t inFlight_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t nextShardSeq_ = 1;

@@ -9,12 +9,12 @@ namespace deepstore::core {
 Tick
 WeightStream::fetch(std::uint64_t slot, Tick ready)
 {
-    if (!dram_ || bytesPerSlot_ == 0)
+    if (bytesPerSlot_ == 0)
         return ready;
     auto it = done_.find(slot);
     if (it != done_.end())
         return it->second;
-    const Tick done = dram_->acquire(ready, bytesPerSlot_);
+    const Tick done = dram_.acquire(ready, bytesPerSlot_);
     done_.emplace(slot, done);
     return done;
 }

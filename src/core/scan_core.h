@@ -68,9 +68,6 @@ namespace deepstore::core {
 class ComputeArbiter
 {
   public:
-    /** Tick at which the array frees up (<= now means idle). */
-    Tick busyUntil() const { return freeAt_; }
-
     /**
      * Reserve the array for `cost` ticks starting no earlier than
      * `now`; returns the completion tick.
@@ -93,8 +90,8 @@ class ComputeArbiter
  * The first member to request a slot's tiles reserves the link and
  * pays the transfer; co-subscribers sharing the stream (broadcast via
  * the channel level's shared L2, or WS-lockstep chips) get the
- * memoized completion tick for free. A null link or zero bytes means
- * the model is fully resident and every fetch completes instantly.
+ * memoized completion tick for free. Zero bytes means the model is
+ * fully resident and every fetch completes instantly.
  *
  * Completion ticks are memoized per slot for the stream's lifetime
  * (the tile stays cached for drifted co-subscribers); a scan of F
@@ -104,7 +101,7 @@ class ComputeArbiter
 class WeightStream
 {
   public:
-    WeightStream(sim::BandwidthLink *dram, std::uint64_t bytes_per_slot)
+    WeightStream(sim::BandwidthLink &dram, std::uint64_t bytes_per_slot)
         : dram_(dram), bytesPerSlot_(bytes_per_slot)
     {
     }
@@ -115,10 +112,8 @@ class WeightStream
      */
     Tick fetch(std::uint64_t slot, Tick ready);
 
-    std::uint64_t bytesPerSlot() const { return bytesPerSlot_; }
-
   private:
-    sim::BandwidthLink *dram_;
+    sim::BandwidthLink &dram_;
     std::uint64_t bytesPerSlot_;
     std::map<std::uint64_t, Tick> done_;
 };
@@ -221,10 +216,6 @@ class GroupScan
     bool done() const { return membersLeft_ == 0 && started_; }
 
     std::size_t members() const { return members_.size(); }
-
-    /** Largest member feature count (the group's stream length in
-     *  features). */
-    std::uint64_t featuresTotal() const { return maxFeatures_; }
 
     /** Live subscribers (recovery introspection). */
     const std::vector<ScanMember> &memberList() const

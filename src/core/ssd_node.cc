@@ -36,9 +36,8 @@ SsdNode::SsdNode(sim::EventQueue &events, SsdNodeConfig config,
     // Weight streams, QC probes, hit rescores, and top-K reduces all
     // arbitrate on this node's one DRAM link — the same link its FTL
     // relocation copies stage through.
-    scfg.dram = &ssd_->dramLink();
-    scheduler_ = std::make_unique<QueryScheduler>(events, scfg, *dfv_,
-                                                  &ssd_->stats());
+    scheduler_ = std::make_unique<QueryScheduler>(
+        events, scfg, *dfv_, ssd_->dramLink(), ssd_->stats());
 }
 
 StatGroup &

@@ -54,9 +54,6 @@ class BandwidthLink
      */
     Tick acquireTicks(Tick ready, Tick duration);
 
-    /** Tick at which the link frees up (<= now means idle). */
-    Tick freeAt() const { return freeAt_; }
-
     /** Total arbitration wait suffered by all grants so far. */
     Tick waitTicks() const { return wait_; }
 
@@ -69,7 +66,6 @@ class BandwidthLink
     /** Bytes moved by byte-sized grants (acquire() only). */
     std::uint64_t bytesCarried() const { return bytes_; }
 
-    double bytesPerSecond() const { return bytesPerSecond_; }
     const std::string &name() const { return name_; }
 
     /** Power loss: in-flight reservations die with the capacitors.

@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <memory>
-
 #include "common/logging.h"
 
 namespace deepstore::sim {
@@ -25,55 +23,6 @@ EventId
 EventQueue::scheduleAfter(Tick delay, Callback cb)
 {
     return schedule(now_ + delay, std::move(cb));
-}
-
-EventId
-EventQueue::scheduleChain(std::vector<ChainStage> stages)
-{
-    if (stages.empty())
-        panic("scheduleChain needs at least one stage");
-    // Each fired stage schedules its successor, so clock movement
-    // between stages is respected automatically. The recursive
-    // closure holds only a *weak* self-reference — the strong
-    // references live in the scheduled events — so the last stage's
-    // completion releases everything (no shared_ptr cycle).
-    auto run_from = std::make_shared<std::function<void(std::size_t)>>();
-    std::weak_ptr<std::function<void(std::size_t)>> weak = run_from;
-    auto shared = std::make_shared<std::vector<ChainStage>>(
-        std::move(stages));
-    *run_from = [this, shared, weak](std::size_t i) {
-        if ((*shared)[i].fn)
-            (*shared)[i].fn();
-        std::size_t next = i + 1;
-        if (next < shared->size())
-            scheduleAfter((*shared)[next].delay,
-                          [self = weak.lock(), next] {
-                              (*self)(next);
-                          });
-    };
-    return scheduleAfter((*shared)[0].delay,
-                         [run_from] { (*run_from)(0); });
-}
-
-EventId
-EventQueue::schedulePeriodic(Tick first, Tick period,
-                             std::function<bool()> fn)
-{
-    if (period == 0)
-        panic("schedulePeriodic needs a positive period");
-    if (!fn)
-        panic("schedulePeriodic needs a callable");
-    // Same weak-self pattern as scheduleChain: the strong references
-    // live only in scheduled events, so once the body returns false
-    // (or the pending event is cancelled) everything is released.
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = tick;
-    auto body = std::make_shared<std::function<bool()>>(std::move(fn));
-    *tick = [this, body, weak, period] {
-        if ((*body)())
-            scheduleAfter(period, [self = weak.lock()] { (*self)(); });
-    };
-    return scheduleAfter(first, [tick] { (*tick)(); });
 }
 
 bool

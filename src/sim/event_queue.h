@@ -4,7 +4,10 @@
  *
  * A single EventQueue orders callbacks by (tick, insertion sequence) so
  * simultaneous events fire deterministically in schedule order, which
- * keeps runs reproducible regardless of container internals.
+ * keeps runs reproducible regardless of container internals. The API
+ * is schedule / scheduleAfter / cancel; multi-stage flows (the query
+ * scheduler's per-query state machine) schedule each next stage from
+ * the callback of the previous one.
  */
 
 #ifndef DEEPSTORE_SIM_EVENT_QUEUE_H
@@ -45,39 +48,6 @@ class EventQueue
 
     /** Schedule a callback `delay` ticks from now. */
     EventId scheduleAfter(Tick delay, Callback cb);
-
-    /**
-     * One stage of a chained schedule: fire `fn` `delay` ticks after
-     * the previous stage completed (or after scheduleChain() for the
-     * first stage).
-     */
-    struct ChainStage
-    {
-        Tick delay = 0;
-        Callback fn;
-    };
-
-    /**
-     * Schedule a sequence of dependent stages: stage i+1 is scheduled
-     * only when stage i fires, so a later stage's absolute tick tracks
-     * any clock advancement performed by earlier stages. Used by the
-     * query scheduler to drive per-query state machines
-     * (CacheProbe -> Striped -> ... ) without hand-rolled rescheduling.
-     * @return the EventId of the *first* stage (cancelling it stops
-     * the whole chain before it starts; later stages cannot be
-     * cancelled through this id).
-     */
-    EventId scheduleChain(std::vector<ChainStage> stages);
-
-    /**
-     * Schedule `fn` at now+first and then every `period` ticks for as
-     * long as it returns true (a false return retires the series).
-     * Useful for open-loop arrival injection (trace replay, benches).
-     * @pre period > 0.
-     * @return the EventId of the first occurrence only.
-     */
-    EventId schedulePeriodic(Tick first, Tick period,
-                             std::function<bool()> fn);
 
     /**
      * Cancel a pending event. Returns false when the event already

@@ -32,7 +32,6 @@ DfvStream::maybeIssueBurst()
         return;
     const std::uint64_t n = std::min<std::uint64_t>(
         plan_.queueDepthPages, pagesTotal() - issued_);
-    ++bursts_;
     stats_.get(StatId::DfvBursts) += 1;
     // Stagger same-controller reads at the steady-state page
     // interval; different controllers issue in parallel.
@@ -79,7 +78,6 @@ DfvStream::pageUncorrectable(std::uint64_t index,
         // Bounded reissue with exponential backoff in simulated
         // time; the injector re-rolls its decision per attempt.
         stats_.get(StatId::DfvPageRetries) += 1;
-        attempts_[index] = attempt + 1;
         const Tick backoff =
             secondsToTicks(plan_.pageRetryBackoffSeconds *
                            static_cast<double>(1ULL << attempt));
@@ -97,7 +95,6 @@ DfvStream::pageUncorrectable(std::uint64_t index,
     auto it = std::lower_bound(failedPages_.begin(),
                                failedPages_.end(), index);
     failedPages_.insert(it, index);
-    attempts_.erase(index);
     pageDelivered(index, false);
 }
 
@@ -150,26 +147,6 @@ DfvStream::consumedThrough(std::uint64_t pages)
     maybeIssueBurst();
 }
 
-Tick
-DfvStream::nextDeliveryEstimate() const
-{
-    if (closed_)
-        return 0;
-    // The next page the consumer is waiting for: first undelivered
-    // entry (in flight or still unissued).
-    const std::uint64_t next =
-        std::min<std::uint64_t>(deliveredPrefix_, pagesTotal());
-    if (next == pagesTotal())
-        return 0;
-    const PageAddress &addr = plan_.pages[next];
-    auto attempt_it = attempts_.find(next);
-    const std::uint32_t attempt =
-        attempt_it == attempts_.end() ? 0 : attempt_it->second;
-    return route_(addr.channel)
-        .estimateReadCompletion(addr, plan_.transferBytesPerPage,
-                                attempt);
-}
-
 std::uint64_t
 DfvStream::failedThrough(std::uint64_t pages) const
 {
@@ -202,7 +179,6 @@ DfvStreamService::open(DfvPlan plan)
 {
     streams_.push_back(std::unique_ptr<DfvStream>(
         new DfvStream(events_, std::move(plan), route_, stats_)));
-    ++active_;
     stats_.get(StatId::DfvStreamsOpened) += 1;
     DfvStream &s = *streams_.back();
     s.maybeIssueBurst();
@@ -227,9 +203,6 @@ DfvStreamService::close(DfvStream &stream)
         owned->delivered_.shrink_to_fit();
         owned->failedPages_.clear();
         owned->failedPages_.shrink_to_fit();
-        owned->attempts_.clear();
-        DS_ASSERT(active_ > 0);
-        --active_;
         return;
     }
     fatal("close() on a stream this service does not own");

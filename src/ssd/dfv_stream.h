@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -127,16 +126,6 @@ class DfvStream
         onDelivered_ = std::move(cb);
     }
 
-    /**
-     * Estimated completion tick of the next undelivered page, asking
-     * the owning controller's estimateReadCompletion() — the
-     * scheduler's Striped-stage load estimate. 0 when the stream is
-     * done.
-     */
-    Tick nextDeliveryEstimate() const;
-
-    std::uint64_t burstsIssued() const { return bursts_; }
-
     /** FLASH_DFV queue capacity in page slots (burst size). The
      *  consumer sizes its staging FIFO to match. */
     std::uint32_t queueDepthPages() const
@@ -173,13 +162,10 @@ class DfvStream
     std::uint64_t issued_ = 0;
     std::uint64_t deliveredPrefix_ = 0;
     std::uint64_t consumed_ = 0;
-    std::uint64_t bursts_ = 0;
     std::vector<bool> delivered_;
     /** Plan indices abandoned as uncorrectable, kept sorted (tiny:
      *  failures are rare by construction). */
     std::vector<std::uint64_t> failedPages_;
-    /** In-flight retry attempt per plan index (sparse). */
-    std::map<std::uint64_t, std::uint32_t> attempts_;
     std::function<void()> onDelivered_;
     bool closed_ = false;
 
@@ -212,15 +198,11 @@ class DfvStreamService
     /** Close a finished (or abandoned) stream. */
     void close(DfvStream &stream);
 
-    /** Streams currently open. */
-    std::size_t active() const { return active_; }
-
   private:
     sim::EventQueue &events_;
     Router route_;
     StatGroup &stats_;
     std::vector<std::unique_ptr<DfvStream>> streams_;
-    std::size_t active_ = 0;
 };
 
 } // namespace deepstore::ssd

@@ -19,9 +19,9 @@ Ssd::Ssd(sim::EventQueue &events, FlashParams params)
     }
     if (params_.wear.enabled) {
         // Couple the controllers to the FTL lifecycle: reads roll
-        // their uncorrectable probability against the block's RBER
-        // (identically for issue and estimate), and issued reads
-        // feed the decay counters / threshold checks back.
+        // their uncorrectable probability against the block's RBER,
+        // and issued reads feed the decay counters / threshold checks
+        // back.
         for (auto &c : controllers_) {
             c->setWearProbe([this](const PageAddress &a) {
                 return ftl_.uncorrectableProbability(
@@ -66,17 +66,10 @@ Ssd::syncLinkStats()
 Tick
 Ssd::hostDispatchTick() const
 {
-    // Regular I/O gets a busy signal while the accelerators own the
-    // read path (§4.5); the command re-dispatches after the window.
-    Tick dispatch =
-        events_.now() + secondsToTicks(params_.commandOverhead);
-    return std::max(dispatch, accelBusyUntil_);
-}
-
-void
-Ssd::setAcceleratorWindow(Tick until)
-{
-    accelBusyUntil_ = std::max(accelBusyUntil_, until);
+    // Host I/O and accelerator scans share the read path through
+    // plane and channel-bus contention in the flash controllers
+    // (§4.5); dispatch pays only the embedded-CPU command overhead.
+    return events_.now() + secondsToTicks(params_.commandOverhead);
 }
 
 void
@@ -403,7 +396,6 @@ Ssd::powerLoss()
         c->powerLoss();
     dram_.reset(events_.now());
     externalBusyUntil_ = events_.now();
-    accelBusyUntil_ = 0;
 }
 
 } // namespace deepstore::ssd

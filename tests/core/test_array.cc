@@ -414,6 +414,50 @@ TEST(ArrayNodeDeath, ManualKillOfIdleNodeLeavesCoverageIntact)
     EXPECT_DOUBLE_EQ(res.coverageFraction, 1.0);
 }
 
+/** Outcome and latency of a cache hit over [0, 100) on a 2-node
+ *  R=1 array whose node 0 (the only holder of that range) died after
+ *  a miss query warmed the Query Cache. */
+QueryResult
+hitOnLostShard(double deadline_seconds)
+{
+    DeepStoreConfig cfg;
+    cfg.array.nodes = homogeneous(2);
+    cfg.array.replication = 1;
+    DeepStore ds(cfg);
+    auto src = randomDb(32, 2000, 17);
+    std::uint64_t db = ds.writeDB(src);
+    std::uint64_t scn = ds.loadModel(dotModel(32));
+    std::uint64_t qcn = ds.loadModel(dotModel(32));
+    ds.setQC(qcn, 0.25, 0.99, 16);
+    const std::vector<float> qfv = src->featureAt(7);
+    const QueryResult &miss =
+        ds.getResults(ds.querySync(qfv, 4, scn, db, 0, 100));
+    EXPECT_FALSE(miss.cacheHit);
+    EXPECT_EQ(ds.killNode(0), KillNodeResult::Killed);
+    EXPECT_FALSE(ds.array().homeTarget(db, 0, 100).has_value());
+    std::uint64_t qid = ds.query(qfv, 4, scn, db, 0, 100, std::nullopt,
+                                 deadline_seconds);
+    ds.waitFor(qid);
+    QueryResult res = ds.getResults(qid);
+    EXPECT_TRUE(res.cacheHit);
+    return res;
+}
+
+TEST(ArrayNodeDeath, CacheHitOnLostShardHonoursItsDeadline)
+{
+    // Every shard under the range is lost, so the hit rescores from
+    // DRAM on the surviving node. Its deadline still applies: one
+    // shorter than probe plus rescore must end the query
+    // DeadlineExceeded, not Success.
+    const QueryResult free_run = hitOnLostShard(0.0);
+    ASSERT_EQ(free_run.outcome, QueryOutcome::Success);
+    ASSERT_GT(free_run.latencySeconds, 0.0);
+    const double deadline = free_run.latencySeconds / 2;
+    const QueryResult late = hitOnLostShard(deadline);
+    EXPECT_EQ(late.outcome, QueryOutcome::DeadlineExceeded);
+    EXPECT_NEAR(late.latencySeconds, deadline, 1e-9);
+}
+
 TEST(ArrayNodeDeath, SixteenSeedDeathSweepIsBitIdentical)
 {
     // The acceptance sweep: for 16 database seeds, kill a rotating

@@ -126,58 +126,6 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     EXPECT_FALSE(q.step());
 }
 
-TEST(EventQueue, ScheduleChainRunsStagesBackToBack)
-{
-    EventQueue q;
-    std::vector<Tick> at;
-    q.scheduleChain({
-        {10, [&] { at.push_back(q.now()); }},
-        {5, [&] { at.push_back(q.now()); }},
-        {0, [&] { at.push_back(q.now()); }},
-    });
-    q.run();
-    EXPECT_EQ(at, (std::vector<Tick>{10, 15, 15}));
-}
-
-TEST(EventQueue, ScheduleChainCancelStopsRemainingStages)
-{
-    EventQueue q;
-    int fired = 0;
-    EventId first = q.scheduleChain({
-        {10, [&] { ++fired; }},
-        {10, [&] { ++fired; }},
-    });
-    EXPECT_TRUE(q.cancel(first));
-    q.run();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, ScheduleChainRejectsEmpty)
-{
-    EventQueue q;
-    EXPECT_THROW(q.scheduleChain({}), PanicError);
-}
-
-TEST(EventQueue, SchedulePeriodicRepeatsUntilFalse)
-{
-    EventQueue q;
-    std::vector<Tick> at;
-    q.schedulePeriodic(5, 10, [&] {
-        at.push_back(q.now());
-        return at.size() < 3;
-    });
-    q.run();
-    EXPECT_EQ(at, (std::vector<Tick>{5, 15, 25}));
-    EXPECT_EQ(q.now(), 25u);
-}
-
-TEST(EventQueue, SchedulePeriodicRejectsZeroPeriod)
-{
-    EventQueue q;
-    EXPECT_THROW(q.schedulePeriodic(1, 0, [] { return false; }),
-                 PanicError);
-}
-
 TEST(EventQueue, ManyEventsStressOrdering)
 {
     EventQueue q;

@@ -31,6 +31,34 @@ struct Fixture
     StatGroup stats{"test"};
 };
 
+/** Issue one read on an idle controller and run it to completion;
+ *  returns the completion tick relative to the issue tick. */
+struct ReadOutcome
+{
+    Tick ticks = 0;
+    FlashStatus status = FlashStatus::Ok;
+};
+
+ReadOutcome
+readOnIdlePlane(Fixture &f, FlashController &ctrl, const PageAddress &a,
+                std::uint64_t bytes, std::uint32_t attempt = 0)
+{
+    ReadOutcome out;
+    const Tick start = f.events.now();
+    FlashCommand cmd;
+    cmd.op = FlashOp::Read;
+    cmd.addr = a;
+    cmd.transferBytes = bytes;
+    cmd.attempt = attempt;
+    cmd.onComplete = [&](Tick t, FlashStatus st) {
+        out.ticks = t - start;
+        out.status = st;
+    };
+    ctrl.issue(std::move(cmd));
+    f.events.run();
+    return out;
+}
+
 TEST(FlashController, SingleReadLatency)
 {
     Fixture f;
@@ -186,23 +214,6 @@ TEST(FlashController, RejectsOversizedTransfer)
     EXPECT_THROW(ctrl.issue(std::move(cmd)), FatalError);
 }
 
-TEST(FlashController, EstimateMatchesActualForIdleChannel)
-{
-    Fixture f;
-    FlashController ctrl(f.events, params(), 0, f.stats);
-    PageAddress a{0, 1, 1, 2, 3};
-    Tick est = ctrl.estimateReadCompletion(a, 4096);
-    Tick done = 0;
-    FlashCommand cmd;
-    cmd.op = FlashOp::Read;
-    cmd.addr = a;
-    cmd.transferBytes = 4096;
-    cmd.onComplete = [&](Tick t, FlashStatus) { done = t; };
-    ctrl.issue(std::move(cmd));
-    f.events.run();
-    EXPECT_EQ(est, done);
-}
-
 TEST(FlashController, CountsStats)
 {
     Fixture f;
@@ -218,86 +229,140 @@ TEST(FlashController, CountsStats)
     EXPECT_DOUBLE_EQ(stats.find(StatId::FlashReadBytes)->value(), 2048.0);
 }
 
-TEST(FlashController, EstimateMatchesActualForRetryLadderPages)
+TEST(FlashController, IdlePlaneReadTakesArrayReadPlusTransfer)
 {
-    // Regression: estimateReadCompletion used to ignore the
-    // readRetryPenalty stretch that issue() charges for needsRetry()
-    // pages, so busy-horizon estimates drifted from reality on every
-    // retried read. Pin estimate == actual across a page population
-    // that contains both clean and retried reads.
-    FlashParams p = params();
-    p.readRetryProbability = 0.5; // deterministic hash per address
+    const FlashParams p = params();
     Fixture f;
     FlashController ctrl(f.events, p, 0, f.stats);
-    int retried = 0;
+    const ReadOutcome r = readOnIdlePlane(f, ctrl, {0, 1, 1, 2, 3}, 4096);
+    EXPECT_EQ(r.status, FlashStatus::Ok);
+    EXPECT_EQ(r.ticks, secondsToTicks(p.readLatency) +
+                           secondsToTicks(p.channelTransferTime(4096)));
+}
+
+TEST(FlashController, RetryLadderReadTakesStretchedArrayLatency)
+{
+    // readRetryProbability picks pages by a deterministic address
+    // hash; a retried page walks the ladder, readLatency x (1 +
+    // readRetryPenalty), and still transfers its data.
+    FlashParams p = params();
+    p.readRetryProbability = 0.5;
+    Fixture f;
+    FlashController ctrl(f.events, p, 0, f.stats);
+    const Tick xfer = secondsToTicks(p.channelTransferTime(4096));
+    int retried = 0, clean = 0;
     for (std::uint32_t page = 0; page < 4; ++page) {
         for (std::uint32_t block = 0; block < 8; ++block) {
             PageAddress a{0, block % 2, (block / 2) % 2, block, page};
-            Tick est = ctrl.estimateReadCompletion(a, 4096);
-            Tick done = 0;
-            FlashCommand cmd;
-            cmd.op = FlashOp::Read;
-            cmd.addr = a;
-            cmd.transferBytes = 4096;
-            cmd.onComplete = [&](Tick t, FlashStatus st) {
-                done = t;
-                if (st == FlashStatus::RetriedOk)
-                    ++retried;
-            };
-            ctrl.issue(std::move(cmd));
-            f.events.run();
-            EXPECT_EQ(est, done)
-                << "block " << block << " page " << page;
+            const ReadOutcome r = readOnIdlePlane(f, ctrl, a, 4096);
+            if (r.status == FlashStatus::RetriedOk) {
+                ++retried;
+                EXPECT_EQ(r.ticks,
+                          secondsToTicks(p.readLatency *
+                                         (1.0 + p.readRetryPenalty)) +
+                              xfer)
+                    << "block " << block << " page " << page;
+            } else {
+                ++clean;
+                EXPECT_EQ(r.status, FlashStatus::Ok);
+                EXPECT_EQ(r.ticks, secondsToTicks(p.readLatency) + xfer)
+                    << "block " << block << " page " << page;
+            }
         }
     }
-    // The population must actually exercise the retry ladder.
+    // The population must exercise both rungs.
     EXPECT_GT(retried, 0);
+    EXPECT_GT(clean, 0);
+    EXPECT_DOUBLE_EQ(f.stats.find(StatId::FlashReadRetries)->value(),
+                     static_cast<double>(retried));
 }
 
-TEST(FlashController, EstimateMatchesActualUnderInjection)
+TEST(FlashController, PlaneAndChannelStallsAddTheirInjectedSeconds)
 {
-    // With stalls and uncorrectable pages injected, the estimate
-    // must still equal the actual completion tick for every page:
-    // both sides share readTiming() by construction.
+    const PageAddress a{0, 1, 0, 3, 2};
+    const Tick clean = secondsToTicks(params().readLatency) +
+                       secondsToTicks(params().channelTransferTime(4096));
+    {
+        FlashParams p = params();
+        p.faults.planeStallProbability = 1.0;
+        p.faults.planeStallSeconds = 7e-6;
+        Fixture f;
+        FlashController ctrl(f.events, p, 0, f.stats);
+        const ReadOutcome r = readOnIdlePlane(f, ctrl, a, 4096);
+        EXPECT_EQ(r.status, FlashStatus::Ok);
+        EXPECT_EQ(r.ticks, clean + secondsToTicks(7e-6));
+    }
+    {
+        FlashParams p = params();
+        p.faults.channelStallProbability = 1.0;
+        p.faults.channelStallSeconds = 3e-6;
+        Fixture f;
+        FlashController ctrl(f.events, p, 0, f.stats);
+        const ReadOutcome r = readOnIdlePlane(f, ctrl, a, 4096);
+        EXPECT_EQ(r.status, FlashStatus::Ok);
+        EXPECT_EQ(r.ticks, clean + secondsToTicks(3e-6));
+        EXPECT_DOUBLE_EQ(
+            f.stats.find(StatId::FlashChannelStalls)->value(), 1.0);
+    }
+}
+
+TEST(FlashController, InjectedReadsFollowTheLadderAndStallFormulas)
+{
+    // Every read on an idle plane, under retry-ladder pages,
+    // uncorrectable injection and certain plane/channel stalls, costs
+    // exactly what its status says: an uncorrectable page walks the
+    // full ladder and skips the bus; a readable one pays its array
+    // latency, both stalls and the transfer.
     FlashParams p = params();
     p.readRetryProbability = 0.3;
     p.faults.seed = 99;
     p.faults.uncorrectableReadProbability = 0.25;
-    p.faults.planeStallProbability = 0.5;
+    p.faults.planeStallProbability = 1.0;
     p.faults.planeStallSeconds = 7e-6;
-    p.faults.channelStallProbability = 0.5;
+    p.faults.channelStallProbability = 1.0;
     p.faults.channelStallSeconds = 3e-6;
     Fixture f;
     FlashController ctrl(f.events, p, 0, f.stats);
-    int uncorrectable = 0;
+    const Tick ladder =
+        secondsToTicks(p.readLatency * (1.0 + p.readRetryPenalty));
+    const Tick plane_stall = secondsToTicks(7e-6);
+    const Tick bus = secondsToTicks(3e-6) +
+                     secondsToTicks(p.channelTransferTime(4096));
+    int uncorrectable = 0, retried = 0;
     for (std::uint32_t page = 0; page < 4; ++page) {
         for (std::uint32_t block = 0; block < 8; ++block) {
             for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
                 PageAddress a{0, block % 2, (block / 2) % 2, block,
                               page};
-                Tick est =
-                    ctrl.estimateReadCompletion(a, 4096, attempt);
-                Tick done = 0;
-                FlashCommand cmd;
-                cmd.op = FlashOp::Read;
-                cmd.addr = a;
-                cmd.transferBytes = 4096;
-                cmd.attempt = attempt;
-                cmd.onComplete = [&](Tick t, FlashStatus st) {
-                    done = t;
-                    if (st == FlashStatus::Uncorrectable)
-                        ++uncorrectable;
-                };
-                ctrl.issue(std::move(cmd));
-                f.events.run();
-                EXPECT_EQ(est, done)
+                const ReadOutcome r =
+                    readOnIdlePlane(f, ctrl, a, 4096, attempt);
+                Tick expected = 0;
+                switch (r.status) {
+                  case FlashStatus::Uncorrectable:
+                    ++uncorrectable;
+                    expected = ladder + plane_stall;
+                    break;
+                  case FlashStatus::RetriedOk:
+                    ++retried;
+                    expected = ladder + plane_stall + bus;
+                    break;
+                  case FlashStatus::Ok:
+                    expected = secondsToTicks(p.readLatency) +
+                               plane_stall + bus;
+                    break;
+                }
+                EXPECT_EQ(r.ticks, expected)
                     << "block " << block << " page " << page
                     << " attempt " << attempt;
             }
         }
     }
+    // The population must reach both failure rungs.
     EXPECT_GT(uncorrectable, 0);
-    EXPECT_GT(f.stats.find(StatId::FlashUncorrectableReads)->value(), 0.0);
+    EXPECT_GT(retried, 0);
+    EXPECT_DOUBLE_EQ(
+        f.stats.find(StatId::FlashUncorrectableReads)->value(),
+        static_cast<double>(uncorrectable));
 }
 
 TEST(FlashController, UncorrectableReadSkipsTheBusTransfer)

@@ -63,6 +63,29 @@ TEST(Ssd, HostReadBoundByExternalBandwidth)
     EXPECT_GT(bw, 0.8 * 100e6);
 }
 
+TEST(Ssd, IdleHostReadCostsOverheadReadAndTransfers)
+{
+    // Host I/O shares the read path with accelerator scans only
+    // through plane and bus contention: on an idle device a one-page
+    // read pays the command overhead, the array read, the channel
+    // transfer and the external-interface transfer, nothing more.
+    sim::EventQueue events;
+    FlashParams p = smallParams();
+    Ssd ssd(events, p);
+    ssd.hostWrite(0, 1, nullptr);
+    events.run();
+    Tick start = events.now();
+    Tick done = 0;
+    ssd.hostRead(0, 1, [&](Tick t) { done = t; });
+    events.run();
+    const double page = static_cast<double>(p.pageBytes);
+    EXPECT_EQ(done - start,
+              secondsToTicks(p.commandOverhead) +
+                  secondsToTicks(p.readLatency) +
+                  secondsToTicks(p.channelTransferTime(p.pageBytes)) +
+                  secondsToTicks(page / p.externalBandwidth));
+}
+
 TEST(Ssd, InternalReadsBypassExternalInterface)
 {
     sim::EventQueue events;
