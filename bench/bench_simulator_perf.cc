@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the simulator itself: these
  * guard the wall-clock cost of the building blocks the paper-figure
  * harnesses lean on (event kernel, systolic evaluation, flash
- * streaming, top-K, cache lookups).
+ * streaming, top-K, cache lookups, functional SCN scoring).
  *
  * Besides the usual console table, the harness writes
  * BENCH_simulator_perf.json with every run's items/second and a
@@ -24,6 +24,7 @@
 #include "core/query_cache.h"
 #include "core/query_model.h"
 #include "core/topk.h"
+#include "nn/executor.h"
 #include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "workloads/apps.h"
@@ -131,6 +132,72 @@ BM_QueryCacheLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_QueryCacheLookup)->Arg(100)->Arg(1000);
+
+/** The scoring SCN of perfbench's scan_mlp workload: Multiply fuse
+ *  plus two 256-wide FC layers over 256-d features. */
+struct MlpScoring
+{
+    static constexpr std::int64_t kDim = 256;
+    static constexpr std::size_t kFeatures = 1536;
+
+    nn::Model model{"bench-fuse-mlp", kDim, false};
+    nn::ModelWeights weights;
+    std::vector<float> qfv;
+    std::vector<float> dfvs; ///< kFeatures x kDim, row-major
+
+    MlpScoring()
+    {
+        model.addLayer(
+            nn::Layer::elementWise("fuse", nn::EwOp::Multiply, kDim));
+        model.addLayer(
+            nn::Layer::fc("fc1", kDim, 256, nn::Activation::ReLU));
+        model.addLayer(
+            nn::Layer::fc("fc2", 256, 256, nn::Activation::None));
+        weights = nn::ModelWeights::random(model, 1);
+        Rng rng(11);
+        qfv.resize(static_cast<std::size_t>(kDim));
+        for (auto &x : qfv)
+            x = static_cast<float>(rng.gaussian());
+        dfvs.resize(kFeatures * static_cast<std::size_t>(kDim));
+        for (auto &x : dfvs)
+            x = static_cast<float>(rng.gaussian());
+    }
+};
+
+/** One scoreBatch() call over a whole scan's features; items are
+ *  features scored. */
+void
+BM_ExecutorScoreBatch(benchmark::State &state)
+{
+    MlpScoring s;
+    nn::Executor ex(s.model, s.weights);
+    std::vector<float> scores(MlpScoring::kFeatures);
+    for (auto _ : state) {
+        ex.scoreBatch(s.qfv, s.dfvs.data(), MlpScoring::kFeatures,
+                      scores.data());
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(MlpScoring::kFeatures) *
+        state.iterations());
+}
+BENCHMARK(BM_ExecutorScoreBatch);
+
+/** The one-lane score() path (the QCN probe's), one feature per
+ *  iteration. */
+void
+BM_ExecutorScore(benchmark::State &state)
+{
+    MlpScoring s;
+    nn::Executor ex(s.model, s.weights);
+    const std::vector<float> dfv(
+        s.dfvs.begin(), s.dfvs.begin() + MlpScoring::kDim);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ex.score(s.qfv, dfv));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecutorScore);
 
 /**
  * Console output plus a machine-readable summary: every run's

@@ -10,6 +10,47 @@
 
 namespace deepstore::core {
 
+namespace {
+
+/** Features gathered per Executor::scoreBatch() call. */
+constexpr std::uint64_t kScoreBlock = 16;
+
+/**
+ * Score `n` features of `source` against `qfv` through one reusable
+ * gather block: `id_at(j)` names the j-th feature and `emit(j, s)`
+ * receives its score, both for j = 0 ... n - 1 in order, with one
+ * featureAt() call per feature.
+ */
+template <typename IdAt, typename Emit>
+void
+scoreFeatures(const nn::Executor &exec, const std::vector<float> &qfv,
+              const FeatureSource &source, std::uint64_t n, IdAt id_at,
+              Emit emit)
+{
+    const auto dim = static_cast<std::size_t>(exec.model().featureDim());
+    const auto block =
+        static_cast<std::size_t>(std::min(n, kScoreBlock));
+    std::vector<float> dfvs(block * dim);
+    std::vector<float> scores(block);
+    for (std::uint64_t j0 = 0; j0 < n; j0 += block) {
+        const auto count =
+            static_cast<std::size_t>(std::min<std::uint64_t>(block, n - j0));
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::vector<float> dfv = source.featureAt(id_at(j0 + j));
+            if (dfv.size() != dim)
+                fatal("feature size %zu, model '%s' wants %zu",
+                      dfv.size(), exec.model().name().c_str(), dim);
+            std::copy(dfv.begin(), dfv.end(),
+                      dfvs.begin() + static_cast<std::ptrdiff_t>(j * dim));
+        }
+        exec.scoreBatch(qfv, dfvs.data(), count, scores.data());
+        for (std::size_t j = 0; j < count; ++j)
+            emit(j0 + j, scores[j]);
+    }
+}
+
+} // namespace
+
 DeepStore::DeepStore(DeepStoreConfig config)
     : config_(std::move(config)), ledger_(events_),
       model_(config_.flash)
@@ -339,12 +380,15 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                 res.featuresScanned = cached.size();
                 // Re-run the SCN on only the cached top-K features.
                 TopK topk(std::max<std::size_t>(k, 1));
-                for (const auto &c : cached) {
-                    auto dfv = source->featureAt(c.featureId);
-                    float s = mp->executor->score(q, dfv);
-                    topk.insert(
-                        ScoredResult{c.featureId, c.objectId, s});
-                }
+                scoreFeatures(
+                    *mp->executor, q, *source, cached.size(),
+                    [&cached](std::uint64_t j) {
+                        return cached[j].featureId;
+                    },
+                    [&cached, &topk](std::uint64_t j, float s) {
+                        topk.insert(ScoredResult{cached[j].featureId,
+                                                 cached[j].objectId, s});
+                    });
                 res.topK = topk.results();
             }
             finishQuery(qid, std::move(res));
@@ -568,13 +612,15 @@ DeepStore::scanTopK(const std::vector<float> &qfv, std::size_t k,
     for (std::uint32_t a = 0; a < n_accel; ++a)
         partials.emplace_back(std::max<std::size_t>(k, 1));
 
-    for (std::uint64_t i = db_start; i < db_end; ++i) {
-        auto dfv = source->featureAt(i);
-        float s = m.executor->score(qfv, dfv);
-        std::uint64_t ppn =
-            db.featurePpn(i, config_.flash.pageBytes);
-        partials[i % n_accel].insert(ScoredResult{i, ppn, s});
-    }
+    scoreFeatures(
+        *m.executor, qfv, *source, db_end - db_start,
+        [db_start](std::uint64_t j) { return db_start + j; },
+        [&](std::uint64_t j, float s) {
+            const std::uint64_t i = db_start + j;
+            std::uint64_t ppn =
+                db.featurePpn(i, config_.flash.pageBytes);
+            partials[i % n_accel].insert(ScoredResult{i, ppn, s});
+        });
     TopK merged(std::max<std::size_t>(k, 1));
     for (const auto &p : partials)
         merged.merge(p);

@@ -4,14 +4,24 @@
  *
  * This is the ground-truth math: examples use it to produce real
  * similarity scores, the test suite uses it to cross-check the layer
- * shape arithmetic, and the Query Cache uses it for QCN scoring. It is
- * a straightforward scalar implementation — the architecture paper's
- * performance claims come from the timing models, not from this code.
+ * shape arithmetic, the scan path scores every feature through it and
+ * the Query Cache uses it for QCN scoring.
+ *
+ * One forward kernel serves every entry point. It evaluates a block of
+ * L features side by side in lane layout (value i of lane f at
+ * x[i * L + f]); run() and score() are its one-lane case and
+ * scoreBatch() its L-lane case. Each FC output accumulates in
+ * the scalar order — bias first, then inputs 0 ... n_in - 1 — so a
+ * feature scores bit-identically whichever entry point or lane it
+ * goes through. The paper's accelerator maps one (query, feature)
+ * pair at a time onto the systolic array (§4.5); that is modelled by
+ * the timing code, not here.
  */
 
 #ifndef DEEPSTORE_NN_EXECUTOR_H
 #define DEEPSTORE_NN_EXECUTOR_H
 
+#include <cstddef>
 #include <vector>
 
 #include "nn/model.h"
@@ -23,6 +33,9 @@ namespace deepstore::nn {
 class Executor
 {
   public:
+    /** Features scoreBatch() evaluates side by side. */
+    static constexpr std::size_t kLanes = 8;
+
     /** Bind an executor to a validated model and matching weights. */
     Executor(const Model &model, const ModelWeights &weights);
 
@@ -41,18 +54,27 @@ class Executor
     float score(const std::vector<float> &qfv,
                 const std::vector<float> &dfv) const;
 
+    /**
+     * Score `n` database features against one query: `dfvs` holds
+     * them row-major (`n` x featureDim()), and scores[j] receives
+     * the score of row j, bit-identical to score(qfv, row j).
+     */
+    void scoreBatch(const std::vector<float> &qfv, const float *dfvs,
+                    std::size_t n, float *scores) const;
+
     /** Collapse a raw output vector to a score as described above. */
     static float scoreFromOutput(const std::vector<float> &out);
 
     const Model &model() const { return model_; }
 
   private:
-    std::vector<float> runLayer(std::size_t idx,
-                                const std::vector<float> &in,
-                                const std::vector<float> &aux) const;
+    void checkSizes(const std::vector<float> &qfv,
+                    std::size_t dfv_size) const;
 
     const Model &model_;
     const ModelWeights &weights_;
+    /** Widest layer input or output, in scalars per feature. */
+    std::size_t width_ = 0;
 };
 
 } // namespace deepstore::nn

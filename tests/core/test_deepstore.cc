@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "../nn/scalar_reference.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/deepstore.h"
 #include "workloads/apps.h"
 
@@ -102,6 +105,76 @@ TEST(DeepStoreApi, QueryFindsTrueTopK)
     std::sort(oracle.begin(), oracle.end());
     for (std::size_t i = 0; i < 5; ++i)
         EXPECT_EQ(res.topK[i].featureId, oracle[i].second) << i;
+}
+
+/**
+ * Run one full scan and one Query Cache hit with `bundle` and expect
+ * both top-Ks to equal, id for id and bit for bit, the best k of a
+ * one-feature scalar loop over the same source.
+ */
+void
+expectScanMatchesScalarLoop(const nn::ModelBundle &bundle)
+{
+    const std::int64_t dim = bundle.model.featureDim();
+    const std::size_t n = 150, k = 10;
+    Rng rng(21);
+    auto gauss = [&rng, dim] {
+        std::vector<float> v(static_cast<std::size_t>(dim));
+        for (auto &x : v)
+            x = static_cast<float>(0.3 * rng.gaussian());
+        return v;
+    };
+    std::vector<std::vector<float>> feats;
+    for (std::size_t i = 0; i < n; ++i)
+        feats.push_back(gauss());
+    const std::vector<float> qfv = gauss();
+
+    std::vector<std::pair<float, std::uint64_t>> ref;
+    for (std::uint64_t i = 0; i < n; ++i)
+        ref.emplace_back(nn::testing::scalarScore(bundle.model,
+                                                  bundle.weights, qfv,
+                                                  feats[i]),
+                         i);
+    std::stable_sort(ref.begin(), ref.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
+
+    DeepStore ds(smallConfig());
+    std::uint64_t db = ds.writeDB(
+        std::make_shared<VectorFeatureSource>(feats, dim));
+    std::uint64_t scn = ds.loadModel(bundle);
+    ds.setQC(ds.loadModel(dotModel(dim)), /*threshold=*/0.25,
+             /*accuracy=*/0.99, /*capacity=*/16);
+    for (bool hit : {false, true}) {
+        const QueryResult &res =
+            ds.getResults(ds.querySync(qfv, k, scn, db, 0, 0));
+        EXPECT_EQ(res.cacheHit, hit);
+        ASSERT_EQ(res.topK.size(), k);
+        for (std::size_t i = 0; i < k; ++i) {
+            EXPECT_EQ(res.topK[i].featureId, ref[i].second)
+                << bundle.model.name() << " rank " << i;
+            EXPECT_EQ(0, std::memcmp(&res.topK[i].score, &ref[i].first,
+                                     sizeof(float)))
+                << bundle.model.name() << " rank " << i;
+        }
+    }
+}
+
+TEST(DeepStoreApi, ScanScoresEqualScalarLoopOnDotModel)
+{
+    expectScanMatchesScalarLoop(dotModel(32));
+}
+
+TEST(DeepStoreApi, ScanScoresEqualScalarLoopOnMlpModel)
+{
+    nn::Model m("mlp-scn", 32, false);
+    m.addLayer(nn::Layer::elementWise("fuse", nn::EwOp::Multiply, 32));
+    m.addLayer(nn::Layer::fc("fc1", 32, 16, nn::Activation::ReLU));
+    m.addLayer(nn::Layer::fc("fc2", 16, 2, nn::Activation::None));
+    auto w = nn::ModelWeights::random(m, 5);
+    expectScanMatchesScalarLoop(
+        nn::ModelBundle{std::move(m), std::move(w)});
 }
 
 TEST(DeepStoreApi, QueryValidatesArguments)
