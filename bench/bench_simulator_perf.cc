@@ -25,6 +25,7 @@
 #include "core/query_model.h"
 #include "core/topk.h"
 #include "nn/executor.h"
+#include "nn/score_kernels.h"
 #include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "workloads/apps.h"
@@ -164,17 +165,15 @@ struct MlpScoring
     }
 };
 
-/** One scoreBatch() call over a whole scan's features; items are
- *  features scored. */
+/** A whole scan's features scored by `score` (one call per
+ *  iteration); items are features scored. */
+template <class Score>
 void
-BM_ExecutorScoreBatch(benchmark::State &state)
+scoreScan(benchmark::State &state, const MlpScoring &s, Score score)
 {
-    MlpScoring s;
-    nn::Executor ex(s.model, s.weights);
     std::vector<float> scores(MlpScoring::kFeatures);
     for (auto _ : state) {
-        ex.scoreBatch(s.qfv, s.dfvs.data(), MlpScoring::kFeatures,
-                      scores.data());
+        score(s.dfvs.data(), MlpScoring::kFeatures, scores.data());
         benchmark::DoNotOptimize(scores.data());
         benchmark::ClobberMemory();
     }
@@ -182,7 +181,39 @@ BM_ExecutorScoreBatch(benchmark::State &state)
         static_cast<std::int64_t>(MlpScoring::kFeatures) *
         state.iterations());
 }
+
+/** Executor::scoreBatch, i.e. the kernel it picked for this CPU. */
+void
+BM_ExecutorScoreBatch(benchmark::State &state)
+{
+    MlpScoring s;
+    nn::Executor ex(s.model, s.weights);
+    scoreScan(state, s, [&](const float *dfvs, std::size_t n,
+                            float *scores) {
+        ex.scoreBatch(s.qfv, dfvs, n, scores);
+    });
+}
 BENCHMARK(BM_ExecutorScoreBatch);
+
+/** One ISA instantiation of the kernel, called directly. */
+void
+BM_ExecutorScoreBatch(benchmark::State &state, nn::kernels::ScoreFn kernel,
+                      bool supported)
+{
+    if (!supported) {
+        state.SkipWithError("CPU lacks this ISA");
+        return;
+    }
+    MlpScoring s;
+    scoreScan(state, s, [&](const float *dfvs, std::size_t n,
+                            float *scores) {
+        kernel(s.model, s.weights, s.qfv.data(), dfvs, n, scores);
+    });
+}
+BENCHMARK_CAPTURE(BM_ExecutorScoreBatch, baseline,
+                  nn::kernels::scoreBaseline, true);
+BENCHMARK_CAPTURE(BM_ExecutorScoreBatch, avx2, nn::kernels::scoreAvx2,
+                  nn::kernels::hasAvx2());
 
 /** The one-lane score() path (the QCN probe's), one feature per
  *  iteration. */

@@ -10,7 +10,9 @@
  * One forward kernel serves every entry point. It evaluates a block of
  * L features side by side in lane layout (value i of lane f at
  * x[i * L + f]); run() and score() are its one-lane case and
- * scoreBatch() its L-lane case. Each FC output accumulates in
+ * scoreBatch() its L-lane case. The constructor picks the kernel's
+ * AVX2 instantiation when the CPU has AVX2 and the default-target one
+ * otherwise (nn/score_kernels.h). Each FC output accumulates in
  * the scalar order — bias first, then inputs 0 ... n_in - 1 — so a
  * feature scores bit-identically whichever entry point or lane it
  * goes through. The paper's accelerator maps one (query, feature)
@@ -73,8 +75,9 @@ class Executor
 
     const Model &model_;
     const ModelWeights &weights_;
-    /** Widest layer input or output, in scalars per feature. */
-    std::size_t width_ = 0;
+    /** The scoring kernel for this CPU (nn/score_kernels.h). */
+    void (*kernel_)(const Model &, const ModelWeights &, const float *,
+                    const float *, std::size_t, float *);
 };
 
 } // namespace deepstore::nn

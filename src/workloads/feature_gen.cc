@@ -5,15 +5,59 @@
 
 namespace deepstore::workloads {
 
+namespace {
+
+void
+checkDim(std::int64_t dim)
+{
+    if (dim <= 0)
+        fatal("feature dimension must be positive");
+}
+
+/** Topic `topic`'s centroid: `dim` uniforms in [-1, 1) from its own
+ *  stream. */
+void
+drawCentroid(std::uint64_t seed, std::uint64_t topic, float *c,
+             std::size_t dim)
+{
+    Rng rng(seed * 1315423911ULL + topic);
+    for (std::size_t i = 0; i < dim; ++i)
+        c[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+}
+
+/** Add the gaussian jitter of `jitter_seed` to a centroid copy. */
+void
+addJitter(std::uint64_t seed, double noise, std::uint64_t jitter_seed,
+          std::vector<float> &f)
+{
+    Rng rng(seed ^ (jitter_seed * 0x2545F4914F6CDD1DULL + 17));
+    for (auto &v : f)
+        v += static_cast<float>(rng.gaussian(0.0, noise));
+}
+
+} // namespace
+
 FeatureGenerator::FeatureGenerator(std::int64_t dim,
                                    std::uint64_t num_topics,
                                    std::uint64_t seed, double noise)
     : dim_(dim), numTopics_(num_topics), seed_(seed), noise_(noise)
 {
-    if (dim <= 0)
-        fatal("feature dimension must be positive");
+    checkDim(dim);
     if (num_topics == 0)
         fatal("need at least one topic");
+    const auto d = static_cast<std::size_t>(dim);
+    centroids_.resize(num_topics * d);
+    for (std::uint64_t t = 0; t < num_topics; ++t)
+        drawCentroid(seed, t, centroids_.data() + t * d, d);
+}
+
+void
+FeatureGenerator::checkTopic(std::uint64_t topic) const
+{
+    if (topic >= numTopics_)
+        fatal("topic %llu out of range (%llu topics)",
+              static_cast<unsigned long long>(topic),
+              static_cast<unsigned long long>(numTopics_));
 }
 
 std::uint64_t
@@ -30,11 +74,11 @@ FeatureGenerator::topicOf(std::uint64_t index) const
 std::vector<float>
 FeatureGenerator::centroid(std::uint64_t topic) const
 {
-    Rng rng(seed_ * 1315423911ULL + topic);
-    std::vector<float> c(static_cast<std::size_t>(dim_));
-    for (auto &v : c)
-        v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    return c;
+    checkTopic(topic);
+    const auto d = static_cast<std::size_t>(dim_);
+    const auto first =
+        centroids_.begin() + static_cast<std::ptrdiff_t>(topic * d);
+    return {first, first + static_cast<std::ptrdiff_t>(d)};
 }
 
 std::vector<float>
@@ -42,9 +86,19 @@ FeatureGenerator::featureForTopic(std::uint64_t topic,
                                   std::uint64_t jitter_seed) const
 {
     std::vector<float> f = centroid(topic);
-    Rng rng(seed_ ^ (jitter_seed * 0x2545F4914F6CDD1DULL + 17));
-    for (auto &v : f)
-        v += static_cast<float>(rng.gaussian(0.0, noise_));
+    addJitter(seed_, noise_, jitter_seed, f);
+    return f;
+}
+
+std::vector<float>
+FeatureGenerator::topicFeature(std::int64_t dim, std::uint64_t seed,
+                               double noise, std::uint64_t topic,
+                               std::uint64_t jitter_seed)
+{
+    checkDim(dim);
+    std::vector<float> f(static_cast<std::size_t>(dim));
+    drawCentroid(seed, topic, f.data(), f.size());
+    addJitter(seed, noise, jitter_seed, f);
     return f;
 }
 

@@ -8,7 +8,8 @@
  * score higher under the SCN/QCN than cross-topic ones), which is the
  * property the Query Cache experiments depend on. Generation is
  * deterministic per (seed, index) and computed on demand, so
- * billion-entry databases never need to be materialized.
+ * billion-entry databases never need to be materialized; only the
+ * topic centroids are kept.
  */
 
 #ifndef DEEPSTORE_WORKLOADS_FEATURE_GEN_H
@@ -24,6 +25,7 @@ class FeatureGenerator
 {
   public:
     /**
+     * Draws every topic centroid up front (num_topics x dim floats).
      * @param dim feature vector length (floats)
      * @param num_topics latent topic count (>= 1)
      * @param seed stream seed; different seeds give disjoint datasets
@@ -45,14 +47,30 @@ class FeatureGenerator
     /** The raw centroid of a topic. */
     std::vector<float> centroid(std::uint64_t topic) const;
 
+    /**
+     * featureForTopic(topic, jitter_seed) of a generator with these
+     * dim, seed and noise and any topic count above `topic`, drawing
+     * only that one centroid: for callers that need a feature or two
+     * from a large topic space.
+     */
+    static std::vector<float> topicFeature(std::int64_t dim,
+                                           std::uint64_t seed,
+                                           double noise,
+                                           std::uint64_t topic,
+                                           std::uint64_t jitter_seed);
+
     std::int64_t dim() const { return dim_; }
     std::uint64_t numTopics() const { return numTopics_; }
 
   private:
+    void checkTopic(std::uint64_t topic) const;
+
     std::int64_t dim_;
     std::uint64_t numTopics_;
     std::uint64_t seed_;
     double noise_;
+    /** numTopics_ x dim_ centroids, row-major. */
+    std::vector<float> centroids_;
 };
 
 } // namespace deepstore::workloads

@@ -57,10 +57,10 @@ QueryUniverse::qcnScore(std::uint64_t a, std::uint64_t b) const
 std::vector<float>
 QueryUniverse::featureOf(std::uint64_t query_id, std::int64_t dim) const
 {
-    FeatureGenerator gen(dim, config_.numTopics, config_.seed,
-                         /*noise=*/0.15);
-    return gen.featureForTopic(topicOf(query_id),
-                               query_id * 2654435761ULL + 7);
+    return FeatureGenerator::topicFeature(dim, config_.seed,
+                                          /*noise=*/0.15,
+                                          topicOf(query_id),
+                                          query_id * 2654435761ULL + 7);
 }
 
 std::vector<std::uint64_t>

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "nn/executor.h"
+#include "nn/score_kernels.h"
 #include "scalar_reference.h"
 
 namespace deepstore::nn {
@@ -267,20 +268,26 @@ randomFloats(Rng &rng, std::size_t n)
     return v;
 }
 
-TEST(ExecutorBatch, ScoresAreBitIdenticalToScalarLoop)
+/**
+ * Score batches of n in {0, 1, 7, 8, 9, 29} features on every
+ * coverage model through `score_batch(net, q, dfvs, n, scores)` and
+ * compare them bytewise with the scalar loop.
+ */
+template <class ScoreBatch>
+void
+expectBatchesMatchScalarLoop(ScoreBatch score_batch)
 {
     const std::size_t lanes = Executor::kLanes;
     const std::size_t counts[] = {0,         1,         lanes - 1,
                                   lanes,     lanes + 1, 3 * lanes + 5};
     for (const Net &net : coverageNets()) {
-        Executor ex(net.model, net.weights);
         const auto dim = static_cast<std::size_t>(net.model.featureDim());
         Rng rng(0xBA7C0DEULL + dim);
         const std::vector<float> q = randomFloats(rng, dim);
         for (std::size_t n : counts) {
             const std::vector<float> dfvs = randomFloats(rng, n * dim);
             std::vector<float> got(n + 1, -1.0f), want(n + 1, -1.0f);
-            ex.scoreBatch(q, dfvs.data(), n, got.data());
+            score_batch(net, q, dfvs.data(), n, got.data());
             for (std::size_t j = 0; j < n; ++j) {
                 const std::vector<float> d(
                     dfvs.begin() + static_cast<std::ptrdiff_t>(j * dim),
@@ -295,6 +302,40 @@ TEST(ExecutorBatch, ScoresAreBitIdenticalToScalarLoop)
                 << net.model.name() << " n=" << n;
         }
     }
+}
+
+/** The same check on one ISA instantiation of the kernel. */
+void
+expectKernelMatchesScalarLoop(kernels::ScoreFn kernel)
+{
+    expectBatchesMatchScalarLoop([&](const Net &net,
+                                     const std::vector<float> &q,
+                                     const float *dfvs, std::size_t n,
+                                     float *scores) {
+        kernel(net.model, net.weights, q.data(), dfvs, n, scores);
+    });
+}
+
+TEST(ExecutorBatch, ScoresAreBitIdenticalToScalarLoop)
+{
+    expectBatchesMatchScalarLoop([](const Net &net,
+                                    const std::vector<float> &q,
+                                    const float *dfvs, std::size_t n,
+                                    float *scores) {
+        Executor(net.model, net.weights).scoreBatch(q, dfvs, n, scores);
+    });
+}
+
+TEST(ExecutorBatch, BaselineKernelIsBitIdenticalToScalarLoop)
+{
+    expectKernelMatchesScalarLoop(kernels::scoreBaseline);
+}
+
+TEST(ExecutorBatch, Avx2KernelIsBitIdenticalToScalarLoop)
+{
+    if (!kernels::hasAvx2())
+        GTEST_SKIP() << "CPU lacks AVX2";
+    expectKernelMatchesScalarLoop(kernels::scoreAvx2);
 }
 
 TEST(ExecutorBatch, OneLaneRunAndScoreMatchScalarLoop)

@@ -1,9 +1,13 @@
 /** @file Tests for the synthetic feature generator. */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "workloads/feature_gen.h"
+#include "workloads/query_universe.h"
 
 namespace deepstore::workloads {
 namespace {
@@ -70,6 +74,58 @@ TEST(FeatureGen, RejectsBadConfig)
 {
     EXPECT_THROW(FeatureGenerator(0, 5, 1), FatalError);
     EXPECT_THROW(FeatureGenerator(16, 0, 1), FatalError);
+    EXPECT_THROW(FeatureGenerator(16, 5, 1).centroid(5), FatalError);
+    EXPECT_THROW(FeatureGenerator::topicFeature(0, 1, 0.1, 0, 0),
+                 FatalError);
+}
+
+/** A feature as the generator drew it before it kept its centroids:
+ *  the topic's centroid from its own stream, then the jitter. */
+std::vector<float>
+drawnFeature(std::int64_t dim, std::uint64_t seed, double noise,
+             std::uint64_t topic, std::uint64_t jitter_seed)
+{
+    Rng crng(seed * 1315423911ULL + topic);
+    std::vector<float> f(static_cast<std::size_t>(dim));
+    for (auto &v : f)
+        v = static_cast<float>(crng.uniform(-1.0, 1.0));
+    Rng jrng(seed ^ (jitter_seed * 0x2545F4914F6CDD1DULL + 17));
+    for (auto &v : f)
+        v += static_cast<float>(jrng.gaussian(0.0, noise));
+    return f;
+}
+
+void
+expectSameBytes(const std::vector<float> &got,
+                const std::vector<float> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)));
+}
+
+TEST(FeatureGen, KeptCentroidsGiveTheDrawnBytes)
+{
+    FeatureGenerator gen(128, 16, 5);
+    for (std::uint64_t index : {0ULL, 1ULL, 7ULL, 1000ULL, 123456789ULL}) {
+        SCOPED_TRACE(index);
+        expectSameBytes(gen.featureAt(index),
+                        drawnFeature(128, 5, 0.25, gen.topicOf(index),
+                                     index));
+    }
+}
+
+TEST(FeatureGen, QueryFeaturesGiveTheDrawnBytes)
+{
+    QueryUniverseConfig config;
+    const QueryUniverse universe(config);
+    for (std::uint64_t id : {0ULL, 3ULL, 4321ULL, 99999ULL}) {
+        SCOPED_TRACE(id);
+        expectSameBytes(universe.featureOf(id, 96),
+                        drawnFeature(96, config.seed, 0.15,
+                                     universe.topicOf(id),
+                                     id * 2654435761ULL + 7));
+    }
 }
 
 } // namespace
